@@ -28,16 +28,12 @@ from .analysis import (
 from .angles import heading_spread, wrap_angle
 from .config import ConfigError, dump_config, load_config, parse_config
 from .control import (
-    ControlCommand,
     GainClass,
-    GainValidation,
     GainVector,
     control_all_to_all,
     control_limited,
     gain_cap,
     named_gain_set,
-    saturate,
-    validate_gains,
 )
 from .dynamics import (
     ConvergenceReport,
@@ -94,16 +90,12 @@ __all__ = [
     "dump_config",
     "load_config",
     "parse_config",
-    "ControlCommand",
     "GainClass",
-    "GainValidation",
     "GainVector",
     "control_all_to_all",
     "control_limited",
     "gain_cap",
     "named_gain_set",
-    "saturate",
-    "validate_gains",
     "ConvergenceReport",
     "DivergenceError",
     "SimulationConfig",

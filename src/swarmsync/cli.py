@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import ConfigError, dump_config, load_config
+from .config import ConfigError, dump_config, load_config, with_overrides
 from .dynamics import DivergenceError, SimulationConfig, simulate
 from .scenarios import SCENARIOS, run_scenario
 
@@ -39,17 +39,7 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _load(args) -> SimulationConfig:
-    cfg = load_config(args.config)
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "t_max", None) is not None:
-        overrides["t_max"] = args.t_max
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return with_overrides(load_config(args.config), args.dt, args.t_max, args.seed)
 
 
 def run_simulate(args) -> int:

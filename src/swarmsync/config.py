@@ -26,6 +26,7 @@ edge lists select the neighbor law.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -87,6 +88,15 @@ def resolve_topology(value, n: int) -> InteractionGraph | None:
     )
 
 
+def _integer(name: str, value) -> int:
+    """An integral config entry: 2.0 is read as 2, while 2.9 is an error, not 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int):
+        return value
+    raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
+
+
 def parse_config(doc: dict) -> SimulationConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -96,10 +106,7 @@ def parse_config(doc: dict) -> SimulationConfig:
     for name in _REQUIRED:
         if name not in doc:
             raise ConfigError(f"field '{name}': missing")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'n': {exc}") from exc
+    n = _integer("n", doc["n"])
     theta0_deg = np.asarray(doc["theta0_deg"], dtype=float)
     if theta0_deg.ndim != 1 or theta0_deg.size != n:
         raise ConfigError(f"field 'theta0_deg': expected {n} values")
@@ -128,8 +135,8 @@ def parse_config(doc: dict) -> SimulationConfig:
             t_max=float(merged["t_max"]),
             u_max=None if merged["u_max"] is None else float(merged["u_max"]),
             saturate=bool(merged["saturate"]),
-            record_stride=int(merged["record_stride"]),
-            seed=None if merged["seed"] is None else int(merged["seed"]),
+            record_stride=_integer("record_stride", merged["record_stride"]),
+            seed=None if merged["seed"] is None else _integer("seed", merged["seed"]),
             jitter=bool(merged["jitter"]),
         )
     except ValueError as exc:
@@ -142,6 +149,18 @@ def load_config(path) -> SimulationConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(doc)
+
+
+def with_overrides(cfg: SimulationConfig, dt: float | None, t_max: float | None,
+                   seed: int | None) -> SimulationConfig:
+    """cfg with each of the --dt/--t-max/--seed overrides that is set; the
+    replaced config is validated again."""
+    overrides = {
+        name: value
+        for name, value in (("dt", dt), ("t_max", t_max), ("seed", seed))
+        if value is not None
+    }
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def dump_config(cfg: SimulationConfig) -> dict:

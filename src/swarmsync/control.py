@@ -11,8 +11,7 @@ by N. Gains are implemented from the potential-gradient form; the sine forms
 above are derived identities, tested against each other.
 
 Bounded actuation comes in two flavors: capping |K_k| at (N/(N-1))*u_max,
-which bounds |u_k| by u_max analytically, or clipping the command itself with
-a saturation function.
+which bounds |u_k| by u_max analytically, or clipping the command itself.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import alignment_potential_grad, as_heading_vector, laplacian_potential_grad
+from .phase import _grad, as_heading_vector
 from .topology import InteractionGraph, is_connected, laplacian
 
 
@@ -75,25 +74,16 @@ def as_gains(gains) -> np.ndarray:
     return GainVector(np.asarray(gains, dtype=float)).gains
 
 
-@dataclass(frozen=True, eq=False)
-class ControlCommand:
-    """Turn-rate commands (rad/s) plus a per-agent clipping record."""
-
-    u: np.ndarray
-    saturated_mask: np.ndarray
-
-
-def control_all_to_all(theta, gains, omega0: float = 0.0) -> ControlCommand:
+def control_all_to_all(theta, gains, omega0: float = 0.0) -> np.ndarray:
     """Mean-field command u_k = omega0 - (K_k/N) sum_{j != k} sin(theta_j - theta_k)."""
     th = as_heading_vector(theta)
     k = as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    u = omega0 + k * alignment_potential_grad(th)
-    return ControlCommand(u=u, saturated_mask=np.zeros(th.size, dtype=bool))
+    return omega0 + k * _grad(np.exp(1j * th), None)
 
 
-def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> ControlCommand:
+def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> np.ndarray:
     """Neighbor command u_k = omega0 - K_k sum_{j in N_k} sin(theta_j - theta_k)."""
     th = as_heading_vector(theta)
     k = as_gains(gains)
@@ -103,19 +93,7 @@ def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> C
         raise ValueError("graph size does not match headings")
     if not is_connected(g):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-    u = omega0 + k * laplacian_potential_grad(th, laplacian(g))
-    return ControlCommand(u=u, saturated_mask=np.zeros(th.size, dtype=bool))
-
-
-def saturate(cmd: ControlCommand, u_max: float) -> ControlCommand:
-    """Clamp each command to [-u_max, u_max]; the mask records actual clipping.
-
-    Commands exactly at the limit pass unchanged. Idempotent.
-    """
-    if not u_max > 0.0:
-        raise ValueError("u_max must be positive")
-    mask = np.abs(cmd.u) > u_max
-    return ControlCommand(u=np.clip(cmd.u, -u_max, u_max), saturated_mask=mask)
+    return omega0 + k * _grad(np.exp(1j * th), laplacian(g))
 
 
 def gain_cap(n: int, u_max: float) -> float:
@@ -129,55 +107,6 @@ def gain_cap(n: int, u_max: float) -> float:
     if not u_max > 0.0:
         raise ValueError("u_max must be positive")
     return (n / (n - 1)) * u_max
-
-
-@dataclass(frozen=True)
-class GainValidation:
-    passed: bool
-    regime: str
-    offending: tuple[int, ...]
-    message: str
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "regime": self.regime,
-            "offending": list(self.offending),
-            "message": self.message,
-        }
-
-
-def validate_gains(gains, regime: str, n: int | None = None, u_max: float | None = None) -> GainValidation:
-    """Check gains against a named admissibility regime.
-
-    Regimes: ``all_negative`` (every K_k < 0), ``two_agent_sum``
-    (K_1 + K_2 < 0, exactly two gains), ``cap`` (|K_k| <= gain_cap(n, u_max)).
-    """
-    k = as_gains(gains)
-    if regime == "all_negative":
-        bad = tuple(int(i) for i in np.flatnonzero(k >= 0.0))
-        ok = not bad
-        msg = "all gains negative" if ok else f"non-negative gains at indices {list(bad)}"
-        return GainValidation(ok, regime, bad, msg)
-    if regime == "two_agent_sum":
-        if k.size != 2:
-            raise ValueError("two_agent_sum regime needs exactly 2 gains")
-        ok = bool(k.sum() < 0.0)
-        msg = "K_1 + K_2 < 0" if ok else f"K_1 + K_2 = {k.sum():g} is not negative"
-        return GainValidation(ok, regime, () if ok else (0, 1), msg)
-    if regime == "cap":
-        if u_max is None:
-            raise ValueError("cap regime needs u_max")
-        cap = gain_cap(k.size if n is None else n, u_max)
-        bad = tuple(int(i) for i in np.flatnonzero(np.abs(k) > cap))
-        ok = not bad
-        msg = (
-            f"all |K_k| within cap {cap:g}"
-            if ok
-            else f"|K_k| exceeds cap {cap:g} at indices {list(bad)}"
-        )
-        return GainValidation(ok, regime, bad, msg)
-    raise ValueError(f"unknown gain regime {regime!r}")
 
 
 def named_gain_set(name: str, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import heading_spread, wrap_angle
 from .control import GainClass, GainVector
-from .phase import as_heading_vector
+from .phase import _grad, _potential, as_heading_vector
 from .topology import InteractionGraph, is_connected, laplacian
 
 SYNC_TOL = 1e-4  # rad; largest pairwise wrapped spread counting as synchronized
@@ -88,6 +88,10 @@ class SimulationConfig:
             if pos.shape != (self.n, 2):
                 raise ValueError(f"positions0 shape {pos.shape}, expected ({self.n}, 2)")
             self.positions0 = pos
+        for name in ("omega0", "dt", "t_max", "u_max"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.t_max > self.dt:
@@ -198,11 +202,7 @@ def _make_rhs(kvec: np.ndarray, omega0: float, lap: np.ndarray | None,
 
     def rhs(y: np.ndarray) -> np.ndarray:
         z = np.exp(1j * y[0])
-        if lap is None:
-            grad = -np.imag(z.mean() * np.conj(z))
-        else:
-            grad = np.imag(np.conj(z) * (lap @ z))
-        u = omega0 + kvec * grad
+        u = omega0 + kvec * _grad(z, lap)
         if u_max is not None:
             np.clip(u, -u_max, u_max, out=u)
         out = np.empty_like(y)
@@ -243,34 +243,25 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
 
 def _derived_columns(theta_s: np.ndarray, lap: np.ndarray | None, kvec: np.ndarray):
     """Order parameter, potentials and conserved sum over (S, n) samples."""
-    n = theta_s.shape[1]
     z = np.exp(1j * theta_s)
     p = z.mean(axis=1)
     p_mag = np.abs(p)
     p_psi = np.where(p_mag > 1e-12, np.angle(p), np.nan)
-    potential = 0.5 * n * (1.0 - p_mag**2)
-    if lap is None:
-        graph_potential = n * potential  # complete-graph quadratic form
-    else:
-        graph_potential = 0.5 * np.real(np.einsum("sj,jk,sk->s", np.conj(z), lap, z))
+    potential = _potential(z, None)
+    # mean-field runs report the complete-graph form N*U
+    graph_potential = theta_s.shape[1] * potential if lap is None else _potential(z, lap)
     conserved = theta_s @ (1.0 / kvec)
     return p_mag, p_psi, potential, graph_potential, conserved
 
 
 def _controls(theta_s: np.ndarray, lap: np.ndarray | None, kvec: np.ndarray,
               omega0: float, u_max: float | None):
-    z = np.exp(1j * theta_s)
-    if lap is None:
-        grad = -np.imag(z.mean(axis=1, keepdims=True) * np.conj(z))
-    else:
-        grad = np.imag(np.conj(z) * (z @ lap))
-    u = omega0 + kvec * grad
-    if u_max is not None:
-        mask = np.abs(u) > u_max
-        u = np.clip(u, -u_max, u_max)
-    else:
-        mask = np.zeros_like(u, dtype=bool)
-    return u, mask
+    """Commands the right-hand side evaluates at each (S, n) sample, and where
+    clipping changed them (strictly beyond u_max)."""
+    u = omega0 + kvec * _grad(np.exp(1j * theta_s), lap)
+    if u_max is None:
+        return u, np.zeros_like(u, dtype=bool)
+    return np.clip(u, -u_max, u_max), np.abs(u) > u_max
 
 
 def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport]:

@@ -65,11 +65,30 @@ def order_parameter(theta) -> OrderParameter:
     return OrderParameter(magnitude=mag, mean_phase=phase, as_complex=p)
 
 
+def _grad(z: np.ndarray, lap: np.ndarray | None) -> np.ndarray:
+    """dPhi/dtheta_k for unit heading vectors z = e^{i theta} of shape (..., n).
+
+    ``lap`` None selects the mean-field potential, otherwise the graph
+    potential of that Laplacian. The one coupling kernel: the integrator's
+    right-hand side, the recorded controls, the control API and the public
+    gradients all evaluate it, so they agree bit for bit.
+    """
+    if lap is None:
+        return -np.imag(z.sum(axis=-1, keepdims=True) / z.shape[-1] * np.conj(z))
+    return np.imag(np.conj(z) * (lap @ z[..., None])[..., 0])
+
+
+def _potential(z: np.ndarray, lap: np.ndarray | None) -> np.ndarray:
+    """Phi over the last axis of z, the potential whose gradient is _grad."""
+    if lap is None:
+        n = z.shape[-1]
+        return 0.5 * n * (1.0 - np.abs(z.sum(axis=-1) / n) ** 2)
+    return 0.5 * np.sum(np.real(np.conj(z) * (lap @ z[..., None])[..., 0]), axis=-1)
+
+
 def alignment_potential(theta) -> float:
     """Mean-field alignment potential (N/2) * (1 - |p|^2), in [0, N/2]."""
-    th = as_heading_vector(theta)
-    p = np.exp(1j * th).mean()
-    return float(0.5 * th.size * (1.0 - abs(p) ** 2))
+    return float(_potential(np.exp(1j * as_heading_vector(theta)), None))
 
 
 def alignment_potential_grad(theta) -> np.ndarray:
@@ -78,10 +97,7 @@ def alignment_potential_grad(theta) -> np.ndarray:
     Component k is -|p| sin(Psi - theta_k) = -(1/N) sum_{j != k} sin(theta_j
     - theta_k). The components always sum to zero (pairwise antisymmetry).
     """
-    th = as_heading_vector(theta)
-    z = np.exp(1j * th)
-    p = z.mean()
-    return -np.imag(p * np.conj(z))
+    return _grad(np.exp(1j * as_heading_vector(theta)), None)
 
 
 def _check_laplacian_shape(th: np.ndarray, lap) -> np.ndarray:
@@ -100,9 +116,7 @@ def laplacian_potential(theta, lap) -> float:
     the Laplacian of an undirected graph.
     """
     th = as_heading_vector(theta)
-    lap = _check_laplacian_shape(th, lap)
-    z = np.exp(1j * th)
-    return float(0.5 * np.real(np.vdot(z, lap @ z)))
+    return float(_potential(np.exp(1j * th), _check_laplacian_shape(th, lap)))
 
 
 def laplacian_potential_grad(theta, lap) -> np.ndarray:
@@ -112,9 +126,7 @@ def laplacian_potential_grad(theta, lap) -> np.ndarray:
     to zero for undirected graphs.
     """
     th = as_heading_vector(theta)
-    lap = _check_laplacian_shape(th, lap)
-    z = np.exp(1j * th)
-    return np.imag(np.conj(z) * (lap @ z))
+    return _grad(np.exp(1j * th), _check_laplacian_shape(th, lap))
 
 
 def lyapunov_rate(theta, gains, lap=None) -> float:
@@ -130,5 +142,7 @@ def lyapunov_rate(theta, gains, lap=None) -> float:
     k = as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    g = alignment_potential_grad(th) if lap is None else laplacian_potential_grad(th, lap)
+    if lap is not None:
+        lap = _check_laplacian_shape(th, lap)
+    g = _grad(np.exp(1j * th), lap)
     return float(np.sum(k * g * g))

@@ -17,7 +17,6 @@ files plus a scenario-level summary.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .analysis import predict_direction
 from .angles import wrap_angle
+from .config import with_overrides
 from .control import GainVector, named_gain_set
 from .dynamics import SimulationConfig, simulate
 from .topology import ring_graph
@@ -188,19 +188,11 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
-    overrides = {}
-    if dt is not None:
-        overrides["dt"] = dt
-    if t_max is not None:
-        overrides["t_max"] = t_max
-    if seed is not None:
-        overrides["seed"] = seed
     base = Path(out_dir) / name
     results = {}
     summary_runs = {}
     for run_name, cfg in SCENARIOS[name]():
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        cfg = with_overrides(cfg, dt, t_max, seed)
         traj, report = simulate(cfg)
         run_dir = base / run_name
         run_dir.mkdir(parents=True, exist_ok=True)

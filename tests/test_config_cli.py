@@ -223,3 +223,45 @@ class TestScenario:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert all(summary["checks"].values())
+
+
+class TestRejectedInputs:
+    """Each bad value ends in the error JSON with exit code 1 before any
+    output is written: no traceback, truncation or late divergence."""
+
+    def assert_rejected(self, tmp_path, capsys, doc, field, extra=()):
+        cfg = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out_dir), *extra])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert field in err["message"]
+        assert not out_dir.exists()
+
+    def test_infinite_t_max_in_config(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "t_max": float("inf")}, "t_max")
+
+    def test_infinite_t_max_on_command_line(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, BASE_DOC, "t_max", extra=("--t-max", "inf"))
+
+    def test_non_finite_dt(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "dt": float("inf")}, "dt")
+
+    def test_nan_omega0(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "omega0": float("nan")}, "omega0")
+
+    def test_non_integral_n(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "n": 2.9}, "'n'")
+
+    def test_non_integral_record_stride(self, tmp_path, capsys):
+        self.assert_rejected(
+            tmp_path, capsys, {**BASE_DOC, "record_stride": 1.7}, "record_stride"
+        )
+
+    def test_non_integral_seed(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "seed": 0.5}, "seed")
+
+    def test_integral_float_accepted(self):
+        cfg = parse_config({**BASE_DOC, "n": 2.0, "record_stride": 3.0})
+        assert cfg.n == 2 and isinstance(cfg.n, int)
+        assert cfg.record_stride == 3

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from swarmsync import (
-    ControlCommand,
     GainClass,
     GainVector,
+    SimulationConfig,
     alignment_potential_grad,
     complete_graph,
     control_all_to_all,
@@ -16,8 +16,7 @@ from swarmsync import (
     laplacian_potential_grad,
     named_gain_set,
     ring_graph,
-    saturate,
-    validate_gains,
+    simulate,
 )
 
 RNG = np.random.default_rng(303)
@@ -52,18 +51,17 @@ class TestGainVector:
 class TestAllToAll:
     def test_equilibrium_at_sync(self):
         cmd = control_all_to_all(np.full(4, 0.8), -np.ones(4))
-        np.testing.assert_allclose(cmd.u, 0.0, atol=TOL)
-        assert not cmd.saturated_mask.any()
+        np.testing.assert_allclose(cmd, 0.0, atol=TOL)
 
     def test_sync_with_omega(self):
         cmd = control_all_to_all(np.full(4, 0.8), -np.ones(4), omega0=0.5)
-        np.testing.assert_allclose(cmd.u, 0.5, atol=TOL)
+        np.testing.assert_allclose(cmd, 0.5, atol=TOL)
 
     def test_pair_turns_toward_each_other(self):
         """-(K_k/2) sin(theta_j - theta_k) with K = -1: the low agent turns up,
         the high one turns down, closing the gap."""
         cmd = control_all_to_all([0.0, np.pi / 2], [-1.0, -1.0])
-        np.testing.assert_allclose(cmd.u, [0.5, -0.5], atol=TOL)
+        np.testing.assert_allclose(cmd, [0.5, -0.5], atol=TOL)
 
     def test_equals_gain_times_gradient(self):
         for _ in range(100):
@@ -74,7 +72,7 @@ class TestAllToAll:
             omega0 = float(RNG.uniform(-1, 1))
             cmd = control_all_to_all(theta, gains, omega0)
             np.testing.assert_allclose(
-                cmd.u, omega0 + gains * alignment_potential_grad(theta), atol=TOL
+                cmd, omega0 + gains * alignment_potential_grad(theta), atol=TOL
             )
 
     def test_length_mismatch(self):
@@ -91,7 +89,7 @@ class TestLimited:
             gains = -RNG.uniform(0.2, 3.0, 5)
             cmd = control_limited(theta, gains, g, omega0=0.3)
             np.testing.assert_allclose(
-                cmd.u, 0.3 + gains * laplacian_potential_grad(theta, lap), atol=TOL
+                cmd, 0.3 + gains * laplacian_potential_grad(theta, lap), atol=TOL
             )
 
     def test_complete_graph_equals_all_to_all_scaled_by_n(self):
@@ -104,16 +102,16 @@ class TestLimited:
             gains = -RNG.uniform(0.2, 2.0, n)
             lim = control_limited(theta, gains, g)
             mean_field = control_all_to_all(theta, n * gains)
-            np.testing.assert_allclose(lim.u, mean_field.u, atol=TOL)
+            np.testing.assert_allclose(lim, mean_field, atol=TOL)
 
     def test_sync_gives_omega(self):
         cmd = control_limited(np.full(3, -1.1), [-1.0, -2.0, -3.0], ring_graph(3), omega0=0.7)
-        np.testing.assert_allclose(cmd.u, 0.7, atol=TOL)
+        np.testing.assert_allclose(cmd, 0.7, atol=TOL)
 
     def test_ring3_balanced_splay_is_critical(self):
         """Each neighbor sine sum cancels at [0, 2pi/3, 4pi/3]."""
         cmd = control_limited([0.0, 2 * np.pi / 3, 4 * np.pi / 3], [-1.0, -5.0, 2.0], ring_graph(3))
-        np.testing.assert_allclose(cmd.u, 0.0, atol=TOL)
+        np.testing.assert_allclose(cmd, 0.0, atol=TOL)
 
     def test_warns_on_disconnected_graph(self):
         from swarmsync import InteractionGraph
@@ -124,33 +122,60 @@ class TestLimited:
 
 
 class TestSaturate:
+    """Clipping lives in the closed loop: each recorded command is the law's
+    command clipped to [-u_max, u_max], flagged only where clipping changed it."""
+
+    U_MAX = 0.1
+
+    def saturated_run(self, theta0_deg, omega0=0.0):
+        n = len(theta0_deg)
+        cfg = SimulationConfig(
+            n=n,
+            theta0=np.deg2rad(theta0_deg),
+            gains=GainVector(named_gain_set("set2", n)),
+            omega0=omega0,
+            t_max=20.0,
+            u_max=self.U_MAX,
+            saturate=True,
+            record_stride=10,
+        )
+        traj, _ = simulate(cfg)
+        u_raw = np.array([control_all_to_all(th, traj.gains, omega0) for th in traj.theta])
+        return traj, u_raw
+
     def test_below_limit_unchanged(self):
-        out = saturate(ControlCommand(np.array([0.05]), np.array([False])), 0.1)
-        np.testing.assert_array_equal(out.u, [0.05])
-        assert not out.saturated_mask[0]
+        traj, u_raw = self.saturated_run([-60.0, -45.0, -30.0, 30.0, 45.0, 60.0])
+        inside = np.abs(u_raw) <= self.U_MAX
+        assert inside.any()
+        np.testing.assert_array_equal(traj.controls[inside], u_raw[inside])
+        assert not traj.saturated[inside].any()
 
     def test_clips_and_records(self):
-        out = saturate(ControlCommand(np.array([-0.4]), np.array([False])), 0.1)
-        np.testing.assert_array_equal(out.u, [-0.1])
-        assert out.saturated_mask[0]
+        traj, u_raw = self.saturated_run([-60.0, -45.0, -30.0, 30.0, 45.0, 60.0])
+        assert traj.saturated.any()
+        np.testing.assert_array_equal(traj.saturated, np.abs(u_raw) > self.U_MAX)
+        np.testing.assert_array_equal(traj.controls, np.clip(u_raw, -self.U_MAX, self.U_MAX))
 
     def test_boundary_passes_unchanged(self):
-        out = saturate(ControlCommand(np.array([0.1]), np.array([False])), 0.1)
-        np.testing.assert_array_equal(out.u, [0.1])
-        assert not out.saturated_mask[0]
+        """Headings all at 0 have a gradient of exactly 0, so the first
+        command equals omega0 = u_max exactly: it is not flagged."""
+        traj, u_raw = self.saturated_run([0.0, 0.0, 0.0], omega0=self.U_MAX)
+        np.testing.assert_array_equal(u_raw[0], self.U_MAX)
+        np.testing.assert_array_equal(traj.controls[0], self.U_MAX)
+        assert not traj.saturated[0].any()
 
     def test_idempotent_and_never_grows(self):
-        u = RNG.uniform(-3, 3, 50)
-        once = saturate(ControlCommand(u, np.zeros(50, dtype=bool)), 0.7)
-        twice = saturate(once, 0.7)
-        np.testing.assert_array_equal(once.u, twice.u)
-        assert not twice.saturated_mask.any()
-        assert np.all(np.abs(once.u) <= np.abs(u) + TOL)
-        assert np.all(np.abs(once.u) <= 0.7)
+        traj, u_raw = self.saturated_run([-60.0, -45.0, -30.0, 30.0, 45.0, 60.0])
+        np.testing.assert_array_equal(
+            np.clip(traj.controls, -self.U_MAX, self.U_MAX), traj.controls
+        )
+        assert np.all(np.abs(traj.controls) <= np.abs(u_raw))
+        assert np.all(np.abs(traj.controls) <= self.U_MAX)
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
-            saturate(ControlCommand(np.array([0.1]), np.array([False])), 0.0)
+            SimulationConfig(n=2, theta0=[0.0, 1.0], gains=[-1.0, -1.0], u_max=0.0,
+                             saturate=True)
 
 
 class TestGainCap:
@@ -172,39 +197,13 @@ class TestGainCap:
             gains[gains == 0.0] = -cap
             theta = RNG.uniform(-np.pi, np.pi, n)
             cmd = control_all_to_all(theta, gains)
-            assert np.max(np.abs(cmd.u)) <= u_max + TOL
+            assert np.max(np.abs(cmd)) <= u_max + TOL
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             gain_cap(1, 0.1)
         with pytest.raises(ValueError):
             gain_cap(4, -0.1)
-
-
-class TestValidateGains:
-    def test_all_negative_pass(self):
-        assert validate_gains([-1.0, -2.0], "all_negative").passed
-
-    def test_all_negative_fail_names_index(self):
-        report = validate_gains([-1.0, 2.0], "all_negative")
-        assert not report.passed
-        assert report.offending == (1,)
-
-    def test_two_agent_sum_pass(self):
-        assert validate_gains([0.5, -2.0], "two_agent_sum").passed
-
-    def test_two_agent_sum_fail(self):
-        assert not validate_gains([2.0, -0.5], "two_agent_sum").passed
-
-    def test_cap_fail_at_index_zero(self):
-        # cap(6, 0.1) = 0.12 and |-0.15| exceeds it
-        report = validate_gains([-0.15, -0.05, -0.05, -0.05, -0.05, -0.05], "cap", u_max=0.1)
-        assert not report.passed
-        assert report.offending == (0,)
-
-    def test_unknown_regime(self):
-        with pytest.raises(ValueError):
-            validate_gains([-1.0, -1.0], "bogus")
 
 
 class TestNamedGainSets:

@@ -11,6 +11,8 @@ from swarmsync import (
     SimulationConfig,
     SwarmState,
     alignment_potential,
+    control_all_to_all,
+    control_limited,
     heading_spread,
     laplacian,
     laplacian_potential,
@@ -233,6 +235,28 @@ class TestSimulate:
         traj, _ = simulate(cfg)
         assert np.max(np.abs(traj.controls)) <= 0.1
         assert traj.saturated.any()
+
+    @pytest.mark.parametrize("topology", [None, ring_graph(6)], ids=["mean-field", "ring"])
+    def test_recorded_controls_equal_the_law_bitwise(self, six_theta0, topology):
+        """u_k in the record is exactly the command the control API computes
+        from the recorded headings, so the CSV shows what was applied."""
+        cfg = SimulationConfig(
+            n=6,
+            theta0=six_theta0,
+            gains=GainVector(named_gain_set("set1", 6)),
+            omega0=0.5,
+            topology=topology,
+            t_max=20.0,
+            record_stride=5,
+        )
+        traj, _ = simulate(cfg)
+        for s in range(traj.sample_count):
+            if topology is None:
+                law = control_all_to_all(traj.theta[s], traj.gains, cfg.omega0)
+            else:
+                law = control_limited(traj.theta[s], traj.gains, topology, cfg.omega0)
+            assert np.array_equal(traj.controls[s], law), f"sample {s}"
+        assert not traj.saturated.any()
 
     def test_saturation_conservation_drift_recorded_only(self, six_theta0):
         """Clipping breaks the pairwise sine cancellation behind the
