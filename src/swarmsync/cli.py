@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, dump_config, load_config, with_overrides
-from .dynamics import DivergenceError, SimulationConfig, simulate
+from .dynamics import DivergenceError, SimulationConfig, simulate, write_run
 from .scenarios import SCENARIOS, run_scenario
 
 DEFAULT_OUT = "out"
@@ -43,13 +43,8 @@ def _load(args) -> SimulationConfig:
 
 
 def run_simulate(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args.out)
-    traj, report = simulate(cfg)
-    csv_path = out / "trajectory.csv"
-    json_path = out / "convergence.json"
-    traj.to_csv(csv_path)
-    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    traj, report = simulate(_load(args))
+    csv_path, json_path = write_run(_out_dir(args.out), traj, report)
     _emit({**report.to_dict(), "trajectory_csv": str(csv_path), "convergence_json": str(json_path)})
     return 0 if report.synchronized else 2
 

@@ -97,6 +97,13 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
 
 
+def _boolean(name: str, value) -> bool:
+    """A JSON true/false entry; a string such as "false" is an error, not True."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"field '{name}': expected true or false, got {value!r}")
+
+
 def parse_config(doc: dict) -> SimulationConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -134,10 +141,10 @@ def parse_config(doc: dict) -> SimulationConfig:
             dt=float(merged["dt"]),
             t_max=float(merged["t_max"]),
             u_max=None if merged["u_max"] is None else float(merged["u_max"]),
-            saturate=bool(merged["saturate"]),
+            saturate=_boolean("saturate", merged["saturate"]),
             record_stride=_integer("record_stride", merged["record_stride"]),
             seed=None if merged["seed"] is None else _integer("seed", merged["seed"]),
-            jitter=bool(merged["jitter"]),
+            jitter=_boolean("jitter", merged["jitter"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

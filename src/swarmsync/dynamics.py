@@ -14,9 +14,10 @@ to roundoff); wrapping happens only at reporting boundaries.
 
 from __future__ import annotations
 
-import csv
+import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,13 @@ SYNC_TOL = 1e-4  # rad; largest pairwise wrapped spread counting as synchronized
 SYNC_HOLD = 1.0  # s; spread must stay below SYNC_TOL this long
 
 CSV_FLOAT_FMT = "%.17g"
+
+# Largest n * (number of recorded samples) simulate() may record. The record
+# arrays (state, control, saturation flag) take 33 bytes a value, 1.1 GB at
+# the budget; with the complex temporaries and the CSV table, the peak RSS of
+# `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
+# 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
+RECORD_BUDGET = 2**25
 
 
 class DivergenceError(RuntimeError):
@@ -87,6 +95,8 @@ class SimulationConfig:
             pos = np.asarray(self.positions0, dtype=float)
             if pos.shape != (self.n, 2):
                 raise ValueError(f"positions0 shape {pos.shape}, expected ({self.n}, 2)")
+            if not np.all(np.isfinite(pos)):
+                raise ValueError("positions0 contains non-finite entries")
             self.positions0 = pos
         for name in ("omega0", "dt", "t_max", "u_max"):
             value = getattr(self, name)
@@ -106,23 +116,50 @@ class SimulationConfig:
             raise ValueError("u_max must be positive")
 
 
+def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
+    """Integration steps to t_max and the samples recorded along them; raises
+    ValueError when n * samples exceeds RECORD_BUDGET."""
+    steps = cfg.t_max / cfg.dt + 1e-9
+    if not np.isfinite(steps):  # a subnormal dt
+        raise ValueError(f"t_max/dt = {cfg.t_max!r}/{cfg.dt!r} is not a finite step count")
+    n_steps = int(steps)
+    n_samples = n_steps // cfg.record_stride + 1
+    if n_samples * cfg.n > RECORD_BUDGET:
+        raise ValueError(f"t_max/record_stride give {n_samples} samples x {cfg.n} "
+                         f"agents, above the record budget of {RECORD_BUDGET} values")
+    return n_steps, n_samples
+
+
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """Sampled time series of one run (sample s, agent k indexing)."""
+    """Sampled time series of one run (sample s, agent k indexing). The order
+    parameter, potentials and conserved sum are derived from theta on
+    construction; mean-field runs (lap None) report N*U as graph_potential."""
 
     times: np.ndarray
     theta: np.ndarray
     positions: np.ndarray
     controls: np.ndarray
     saturated: np.ndarray
-    p_mag: np.ndarray
-    p_psi: np.ndarray
-    potential: np.ndarray
-    graph_potential: np.ndarray
-    conserved: np.ndarray
     gains: np.ndarray
     omega0: float
     lap: np.ndarray | None = field(repr=False, default=None)
+    p_mag: np.ndarray = field(init=False)
+    p_psi: np.ndarray = field(init=False)
+    potential: np.ndarray = field(init=False)
+    graph_potential: np.ndarray = field(init=False)
+    conserved: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        z = np.exp(1j * self.theta)
+        p = z.mean(axis=1)
+        self.p_mag = np.abs(p)
+        self.p_psi = np.where(self.p_mag > 1e-12, np.angle(p), np.nan)
+        self.potential = _potential(z, None)
+        self.graph_potential = (
+            self.n * self.potential if self.lap is None else _potential(z, self.lap)
+        )
+        self.conserved = self.theta @ (1.0 / self.gains)
 
     @property
     def sample_count(self) -> int:
@@ -133,39 +170,27 @@ class TrajectoryRecord:
         return self.theta.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write the record as CSV with one row per sample.
+        """Write the record as CSV with one CRLF-terminated row per sample.
 
         Columns: t, theta_1..N (unwrapped rad), x_1..N, y_1..N, u_1..N,
-        p_mag, p_psi, U, WL, conserved. p_psi is nan where undefined.
+        p_mag, p_psi, U, WL, conserved, each value as %.17g. p_psi is nan
+        where undefined.
         """
-        n = self.n
+        agents = range(1, self.n + 1)
         header = (
             ["t"]
-            + [f"theta_{k}" for k in range(1, n + 1)]
-            + [f"x_{k}" for k in range(1, n + 1)]
-            + [f"y_{k}" for k in range(1, n + 1)]
-            + [f"u_{k}" for k in range(1, n + 1)]
+            + [f"{col}_{k}" for col in ("theta", "x", "y", "u") for k in agents]
             + ["p_mag", "p_psi", "U", "WL", "conserved"]
         )
+        table = np.column_stack((
+            self.times, self.theta, self.positions[:, :, 0], self.positions[:, :, 1],
+            self.controls, self.p_mag, self.p_psi, self.potential,
+            self.graph_potential, self.conserved,
+        ))
+        row = ",".join([CSV_FLOAT_FMT] * len(header)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for s in range(self.sample_count):
-                row = (
-                    [self.times[s]]
-                    + list(self.theta[s])
-                    + list(self.positions[s, :, 0])
-                    + list(self.positions[s, :, 1])
-                    + list(self.controls[s])
-                    + [
-                        self.p_mag[s],
-                        self.p_psi[s],
-                        self.potential[s],
-                        self.graph_potential[s],
-                        self.conserved[s],
-                    ]
-                )
-                writer.writerow([CSV_FLOAT_FMT % v for v in row])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
 @dataclass(frozen=True)
@@ -241,19 +266,6 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     )
 
 
-def _derived_columns(theta_s: np.ndarray, lap: np.ndarray | None, kvec: np.ndarray):
-    """Order parameter, potentials and conserved sum over (S, n) samples."""
-    z = np.exp(1j * theta_s)
-    p = z.mean(axis=1)
-    p_mag = np.abs(p)
-    p_psi = np.where(p_mag > 1e-12, np.angle(p), np.nan)
-    potential = _potential(z, None)
-    # mean-field runs report the complete-graph form N*U
-    graph_potential = theta_s.shape[1] * potential if lap is None else _potential(z, lap)
-    conserved = theta_s @ (1.0 / kvec)
-    return p_mag, p_psi, potential, graph_potential, conserved
-
-
 def _controls(theta_s: np.ndarray, lap: np.ndarray | None, kvec: np.ndarray,
               omega0: float, u_max: float | None):
     """Commands the right-hand side evaluates at each (S, n) sample, and where
@@ -271,6 +283,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     difference stays below SYNC_TOL for SYNC_HOLD seconds; t_sync is the start
     of the first such window.
     """
+    n_steps, n_samples = _step_counts(cfg)
     kvec = cfg.gains.gains
     if cfg.gains.classification is GainClass.OTHER:
         warnings.warn("gain set has non-negative sum; no descent guarantee applies")
@@ -291,18 +304,8 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     y[1] = cfg.positions0[:, 0]
     y[2] = cfg.positions0[:, 1]
 
-    n_steps = int(np.floor(cfg.t_max / cfg.dt + 1e-9))
     stride = cfg.record_stride
-    n_samples = n_steps // stride + 1
-    theta_s = np.empty((n_samples, cfg.n))
-    pos_s = np.empty((n_samples, cfg.n, 2))
-    times = np.empty(n_samples)
-
-    def record(slot: int, t: float) -> None:
-        times[slot] = t
-        theta_s[slot] = y[0]
-        pos_s[slot, :, 0] = y[1]
-        pos_s[slot, :, 1] = y[2]
+    states = np.empty((n_samples, 3, cfg.n))
 
     def fast_spread(th: np.ndarray) -> float:
         # exact pairwise spread whenever the headings fit in an arc < pi,
@@ -325,7 +328,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
         else:
             below_since = None
 
-    record(0, 0.0)
+    states[0] = y
     observe(0.0, y[0])
     for i in range(n_steps):
         y = _rk4_step(rhs, y, cfg.dt)
@@ -333,7 +336,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
         if (i + 1) % stride == 0:
             if not np.all(np.isfinite(y)):
                 raise DivergenceError(f"non-finite state at t={t:g}")
-            record((i + 1) // stride, t)
+            states[(i + 1) // stride] = y
         observe(t, y[0])
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state at t={n_steps * cfg.dt:g}")
@@ -341,20 +344,15 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     if t_sync is None and below_since is not None and n_steps * cfg.dt - below_since >= SYNC_HOLD:
         t_sync = below_since
 
-    p_mag, p_psi, potential, graph_potential, conserved = _derived_columns(theta_s, lap, kvec)
+    theta_s = states[:, 0]
     controls, sat_mask = _controls(theta_s, lap, kvec, cfg.omega0,
                                    cfg.u_max if cfg.saturate else None)
     traj = TrajectoryRecord(
-        times=times,
+        times=np.arange(n_samples) * stride * cfg.dt,
         theta=theta_s,
-        positions=pos_s,
+        positions=states[:, 1:].transpose(0, 2, 1),
         controls=controls,
         saturated=sat_mask,
-        p_mag=p_mag,
-        p_psi=p_psi,
-        potential=potential,
-        graph_potential=graph_potential,
-        conserved=conserved,
         gains=kvec,
         omega0=cfg.omega0,
         lap=lap,
@@ -385,22 +383,26 @@ def rotating_frame(traj: TrajectoryRecord, omega0: float) -> TrajectoryRecord:
     u_k - omega0. Positions are left in the inertial frame. For omega0 = 0
     this is the identity transform.
     """
-    theta_rot = traj.theta - omega0 * traj.times[:, None]
-    p_mag, p_psi, potential, graph_potential, conserved = _derived_columns(
-        theta_rot, traj.lap, traj.gains
-    )
     return TrajectoryRecord(
         times=traj.times.copy(),
-        theta=theta_rot,
+        theta=traj.theta - omega0 * traj.times[:, None],
         positions=traj.positions.copy(),
         controls=traj.controls - omega0,
         saturated=traj.saturated.copy(),
-        p_mag=p_mag,
-        p_psi=p_psi,
-        potential=potential,
-        graph_potential=graph_potential,
-        conserved=conserved,
         gains=traj.gains,
         omega0=traj.omega0 - omega0,
         lap=traj.lap,
     )
+
+
+def write_run(run_dir, traj: TrajectoryRecord,
+              report: ConvergenceReport) -> tuple[Path, Path]:
+    """Write a run's trajectory.csv and convergence.json into run_dir (made
+    if missing); returns the two paths."""
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = run_dir / "trajectory.csv"
+    json_path = run_dir / "convergence.json"
+    traj.to_csv(csv_path)
+    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    return csv_path, json_path

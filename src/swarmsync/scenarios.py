@@ -26,7 +26,7 @@ from .analysis import predict_direction
 from .angles import wrap_angle
 from .config import with_overrides
 from .control import GainVector, named_gain_set
-from .dynamics import SimulationConfig, simulate
+from .dynamics import SimulationConfig, simulate, write_run
 from .topology import ring_graph
 
 SIM1_THETA0_DEG = (-60.0, -45.0, -30.0, 30.0, 45.0, 60.0)
@@ -128,8 +128,9 @@ def _run_summary(cfg: SimulationConfig, traj, report) -> dict:
     return out
 
 
-def _scenario_checks(name: str, results: dict) -> tuple[dict, dict]:
-    """Gating checks plus non-gating observations for a scenario's results.
+def _scenario_checks(name: str, configs: dict, runs: dict) -> tuple[dict, dict]:
+    """Gating checks plus non-gating observations, read from each run's config
+    and its _run_summary.
 
     The |u| <= u_max gate applies only where it is guaranteed: saturated runs
     (exact by clipping) and mean-field runs with capped gains. The gain cap
@@ -138,25 +139,23 @@ def _scenario_checks(name: str, results: dict) -> tuple[dict, dict]:
     """
     checks: dict[str, bool] = {}
     observations: dict = {}
-    for run_name, (cfg, traj, report) in results.items():
-        checks[f"{run_name}:synchronized"] = report.synchronized
+    for run_name, run in runs.items():
+        cfg = configs[run_name]
+        checks[f"{run_name}:synchronized"] = run["synchronized"]
         if cfg.u_max is not None:
-            within = bool(np.max(np.abs(traj.controls)) <= cfg.u_max)
+            within = run["max_abs_u"] <= cfg.u_max
             if cfg.saturate or cfg.topology is None:
                 checks[f"{run_name}:control_within_u_max"] = within
             else:
                 observations[f"{run_name}:control_within_u_max"] = within
-        if cfg.gains.all_negative and not cfg.saturate and report.synchronized:
-            predicted = predict_direction(cfg.theta0, cfg.gains)
-            checks[f"{run_name}:matches_prediction"] = bool(
-                abs(wrap_angle(report.final_heading_common - predicted)) < _PREDICTION_TOL
-            )
+        if "prediction_error" in run:
+            checks[f"{run_name}:matches_prediction"] = run["prediction_error"] < _PREDICTION_TOL
     if name in ("sim1", "sim1-omega"):
         # under the unnormalized neighbor law the ring couples more strongly
         # than the 1/N-normalized mean-field law, so it synchronizes first
         for gain_set in ("set1", "set2"):
-            t_complete = results[f"{gain_set}-complete"][2].t_sync
-            t_ring = results[f"{gain_set}-ring"][2].t_sync
+            t_complete = runs[f"{gain_set}-complete"]["t_sync"]
+            t_ring = runs[f"{gain_set}-ring"]["t_sync"]
             observations[f"{gain_set}:t_sync_complete"] = t_complete
             observations[f"{gain_set}:t_sync_ring"] = t_ring
             observations[f"{gain_set}:ring_slower_than_complete"] = bool(
@@ -164,16 +163,16 @@ def _scenario_checks(name: str, results: dict) -> tuple[dict, dict]:
             )
     if name == "sim2":
         for run_name, target_deg in (("a", 120.0), ("b", -120.0)):
-            report = results[run_name][2]
-            ok = report.synchronized and abs(
-                wrap_angle(report.final_heading_common - np.deg2rad(target_deg))
+            run = runs[run_name]
+            ok = run["synchronized"] and abs(
+                wrap_angle(run["final_heading_common"] - np.deg2rad(target_deg))
             ) < _PREDICTION_TOL
             checks[f"{run_name}:final_heading_{target_deg:+.0f}deg"] = bool(ok)
     if name == "fig6":
-        report = results["complete"][2]
+        run = runs["complete"]
         outside = bool(
-            report.synchronized
-            and not (-np.pi / 3 < report.final_heading_common < np.pi / 3)
+            run["synchronized"]
+            and not (-np.pi / 3 < run["final_heading_common"] < np.pi / 3)
         )
         checks["final_heading_outside_initial_arc"] = outside
     return checks, observations
@@ -189,27 +188,20 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
     base = Path(out_dir) / name
-    results = {}
+    configs = {}
     summary_runs = {}
     for run_name, cfg in SCENARIOS[name]():
-        cfg = with_overrides(cfg, dt, t_max, seed)
+        cfg = configs[run_name] = with_overrides(cfg, dt, t_max, seed)
         traj, report = simulate(cfg)
-        run_dir = base / run_name
-        run_dir.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(run_dir / "trajectory.csv")
-        (run_dir / "convergence.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        )
-        results[run_name] = (cfg, traj, report)
+        write_run(base / run_name, traj, report)
         summary_runs[run_name] = _run_summary(cfg, traj, report)
-    checks, observations = _scenario_checks(name, results)
+    checks, observations = _scenario_checks(name, configs, summary_runs)
     summary = {
         "scenario": name,
         "runs": summary_runs,
         "checks": checks,
         "observations": observations,
     }
-    base.mkdir(parents=True, exist_ok=True)
     (base / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     code = 0 if all(checks.values()) else 2
     return code, summary

@@ -1,12 +1,15 @@
 """Config ingestion, CLI subcommands, exit codes, and scenario execution."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmsync
 from swarmsync import ConfigError, dump_config, load_config, parse_config, run_scenario
 from swarmsync.cli import main
 
@@ -196,10 +199,14 @@ class TestCliCommands:
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_DOC, "t_max": 2.0})
+        # the child imports the package from where this process found it
+        src = str(Path(swarmsync.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "swarmsync.cli", "predict", "--config", str(cfg)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theta_c_deg"] == pytest.approx(0.0, abs=1e-9)
@@ -260,6 +267,32 @@ class TestRejectedInputs:
 
     def test_non_integral_seed(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "seed": 0.5}, "seed")
+
+    def test_string_boolean(self, tmp_path, capsys):
+        """The string "false" is non-empty, so bool() would read it as True."""
+        self.assert_rejected(
+            tmp_path, capsys, {**BASE_DOC, "saturate": "false", "u_max": 0.01}, "saturate"
+        )
+
+    def test_non_finite_position(self, tmp_path, capsys):
+        self.assert_rejected(
+            tmp_path, capsys, {**BASE_DOC, "positions0": [[0.0, 0.0], [float("nan"), 0.0]]},
+            "positions0",
+        )
+
+    def test_record_above_budget(self, tmp_path, capsys):
+        """1e9 samples of 2 agents; rejected before any array is allocated."""
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "t_max": 1e7}, "t_max")
+
+    def test_budget_binds_only_runs(self, tmp_path, capsys):
+        """n = 4000 with the default horizon would record 4e7 values, above
+        the budget; commands that record nothing still accept the config."""
+        n = 4000
+        doc = {"n": n, "theta0_deg": np.linspace(-60, 60, n).tolist(), "gains": [-1.0] * n}
+        cfg = write_config(tmp_path, doc)
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["theta_c_deg"] == pytest.approx(0.0, abs=1e-9)
+        self.assert_rejected(tmp_path, capsys, doc, "record_stride")
 
     def test_integral_float_accepted(self):
         cfg = parse_config({**BASE_DOC, "n": 2.0, "record_stride": 3.0})

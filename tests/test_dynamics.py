@@ -10,6 +10,7 @@ from swarmsync import (
     GainVector,
     SimulationConfig,
     SwarmState,
+    TrajectoryRecord,
     alignment_potential,
     control_all_to_all,
     control_limited,
@@ -342,6 +343,30 @@ class TestRotatingFrame:
 
 
 class TestCsv:
+    def test_exact_bytes_of_a_hand_built_record(self, tmp_path):
+        """CRLF rows, %.17g values (0.1 is 0.10000000000000001, not repr's
+        0.1), nan for the undefined mean phase of an antipodal pair, and the
+        derived columns: U = 1 - |p|^2 and WL = N*U for mean-field, conserved
+        = sum theta/K = pi/-2."""
+        traj = TrajectoryRecord(
+            times=np.array([0.0, 0.1]),
+            theta=np.array([[0.0, 0.0], [0.0, np.pi]]),
+            positions=np.array([[[0.0, 0.0], [1.0, 2.0]], [[0.1, 0.0], [0.9, 2.0]]]),
+            controls=np.array([[0.0, 0.0], [-0.5, 0.25]]),
+            saturated=np.zeros((2, 2), dtype=bool),
+            gains=np.array([-1.0, -2.0]),
+            omega0=0.0,
+        )
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == (
+            b"t,theta_1,theta_2,x_1,x_2,y_1,y_2,u_1,u_2,p_mag,p_psi,U,WL,conserved\r\n"
+            b"0,0,0,0,1,0,2,0,0,1,0,0,0,0\r\n"
+            b"0.10000000000000001,0,3.1415926535897931,0.10000000000000001,"
+            b"0.90000000000000002,0,2,-0.5,0.25,6.123233995736766e-17,nan,1,2,"
+            b"-1.5707963267948966\r\n"
+        )
+
     def test_header_and_shape(self, tmp_path):
         cfg = make_config(t_max=1.0, record_stride=10)
         traj, _ = simulate(cfg)
