@@ -50,23 +50,28 @@ class RotatedFrame:
 def rotated_frame(theta0) -> RotatedFrame:
     """Pick the extreme-ray reference angle and rotate the headings onto it.
 
-    Every heading is tried as the reference; the one minimizing the maximum
-    relative angle (taken in [0, 2*pi)) wins, ties going to the smallest
-    index. Initial headings must lie in the open interval (-pi, pi).
+    The heading minimizing the maximum relative angle (taken in [0, 2*pi))
+    wins, ties going to the smallest index. Only a heading that ends a
+    largest circular gap between the sorted headings (within 1e-12 rad, far
+    above rounding) can win, so only those are tried. Initial headings must
+    lie in the open interval (-pi, pi).
     """
     th = as_heading_vector(theta0)
     if np.any(th <= -np.pi) or np.any(th >= np.pi):
         raise ValueError("initial headings must lie in the open interval (-pi, pi)")
+    values, first = np.unique(th, return_index=True)
+    gaps = np.diff(values, append=values[0] + TWO_PI)  # gaps[i] ends at values[i+1]
+    ends = np.roll(first, -1)[gaps >= gaps.max() - 1e-12]
     best_span = np.inf
     best_rel = None
     best_ref = 0.0
-    for cand in th:
-        rel = np.mod(th - cand, TWO_PI)
+    for idx in np.sort(ends):
+        rel = np.mod(th - th[idx], TWO_PI)
         span = float(rel.max())
         if span < best_span:
             best_span = span
             best_rel = rel
-            best_ref = float(cand)
+            best_ref = float(th[idx])
     return RotatedFrame(
         theta_R=best_ref,
         theta_hat0=best_rel,

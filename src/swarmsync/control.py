@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import _grad, as_heading_vector
-from .topology import InteractionGraph, is_connected, laplacian
+from .topology import InteractionGraph, edge_arrays, is_connected
 
 
 class GainClass(str, enum.Enum):
@@ -93,7 +93,7 @@ def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> n
         raise ValueError("graph size does not match headings")
     if not is_connected(g):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-    return omega0 + k * _grad(np.exp(1j * th), laplacian(g))
+    return omega0 + k * _grad(np.exp(1j * th), edge_arrays(g))
 
 
 def gain_cap(n: int, u_max: float) -> float:

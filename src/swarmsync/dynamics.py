@@ -24,7 +24,10 @@ import numpy as np
 from .angles import heading_spread, wrap_angle
 from .control import GainClass, GainVector
 from .phase import _grad, _potential, as_heading_vector
-from .topology import InteractionGraph, is_connected, laplacian
+from .topology import InteractionGraph, edge_arrays, is_connected
+# Not called here: the benchmark's trace table (perfbench/measure.py) resolves
+# dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
+from .topology import laplacian  # noqa: F401
 
 SYNC_TOL = 1e-4  # rad; largest pairwise wrapped spread counting as synchronized
 SYNC_HOLD = 1.0  # s; spread must stay below SYNC_TOL this long
@@ -37,6 +40,9 @@ CSV_FLOAT_FMT = "%.17g"
 # `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
 # 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
 RECORD_BUDGET = 2**25
+# Largest number of RK4 steps simulate() may take: about 14 minutes at the
+# 50 us a step of an n=6 run, far above every bundled scenario (80,000 steps).
+STEP_BUDGET = 2**24
 
 
 class DivergenceError(RuntimeError):
@@ -118,7 +124,8 @@ class SimulationConfig:
 
 def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     """Integration steps to t_max and the samples recorded along them; raises
-    ValueError when n * samples exceeds RECORD_BUDGET."""
+    ValueError when the steps exceed STEP_BUDGET or n * samples exceeds
+    RECORD_BUDGET."""
     steps = cfg.t_max / cfg.dt + 1e-9
     if not np.isfinite(steps):  # a subnormal dt
         raise ValueError(f"t_max/dt = {cfg.t_max!r}/{cfg.dt!r} is not a finite step count")
@@ -127,6 +134,9 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     if n_samples * cfg.n > RECORD_BUDGET:
         raise ValueError(f"t_max/record_stride give {n_samples} samples x {cfg.n} "
                          f"agents, above the record budget of {RECORD_BUDGET} values")
+    if n_steps > STEP_BUDGET:
+        raise ValueError(f"t_max/dt give {n_steps} integration steps, above the "
+                         f"step budget of {STEP_BUDGET}")
     return n_steps, n_samples
 
 
@@ -134,7 +144,8 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
 class TrajectoryRecord:
     """Sampled time series of one run (sample s, agent k indexing). The order
     parameter, potentials and conserved sum are derived from theta on
-    construction; mean-field runs (lap None) report N*U as graph_potential."""
+    construction; mean-field runs (edges None) report N*U as graph_potential.
+    ``edges`` are the graph's directed edge arrays from topology.edge_arrays."""
 
     times: np.ndarray
     theta: np.ndarray
@@ -143,7 +154,7 @@ class TrajectoryRecord:
     saturated: np.ndarray
     gains: np.ndarray
     omega0: float
-    lap: np.ndarray | None = field(repr=False, default=None)
+    edges: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
     p_mag: np.ndarray = field(init=False)
     p_psi: np.ndarray = field(init=False)
     potential: np.ndarray = field(init=False)
@@ -157,7 +168,7 @@ class TrajectoryRecord:
         self.p_psi = np.where(self.p_mag > 1e-12, np.angle(p), np.nan)
         self.potential = _potential(z, None)
         self.graph_potential = (
-            self.n * self.potential if self.lap is None else _potential(z, self.lap)
+            self.n * self.potential if self.edges is None else _potential(z, self.edges)
         )
         self.conserved = self.theta @ (1.0 / self.gains)
 
@@ -221,13 +232,13 @@ class ConvergenceReport:
         }
 
 
-def _make_rhs(kvec: np.ndarray, omega0: float, lap: np.ndarray | None,
-              u_max: float | None):
+def _make_rhs(kvec: np.ndarray, omega0: float,
+              edges: tuple[np.ndarray, np.ndarray] | None, u_max: float | None):
     """Derivative of the joint state y = [theta; x; y], shape (3, n)."""
 
     def rhs(y: np.ndarray) -> np.ndarray:
         z = np.exp(1j * y[0])
-        u = omega0 + kvec * _grad(z, lap)
+        u = omega0 + kvec * _grad(z, edges)
         if u_max is not None:
             np.clip(u, -u_max, u_max, out=u)
         out = np.empty_like(y)
@@ -250,8 +261,8 @@ def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
 def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme."""
     kvec = cfg.gains.gains
-    lap = None if cfg.topology is None else laplacian(cfg.topology)
-    rhs = _make_rhs(kvec, cfg.omega0, lap, cfg.u_max if cfg.saturate else None)
+    edges = None if cfg.topology is None else edge_arrays(cfg.topology)
+    rhs = _make_rhs(kvec, cfg.omega0, edges, cfg.u_max if cfg.saturate else None)
     y = np.empty((3, cfg.n))
     y[0] = state.theta
     y[1] = state.positions[:, 0]
@@ -266,11 +277,11 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     )
 
 
-def _controls(theta_s: np.ndarray, lap: np.ndarray | None, kvec: np.ndarray,
-              omega0: float, u_max: float | None):
+def _controls(theta_s: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
+              kvec: np.ndarray, omega0: float, u_max: float | None):
     """Commands the right-hand side evaluates at each (S, n) sample, and where
     clipping changed them (strictly beyond u_max)."""
-    u = omega0 + kvec * _grad(np.exp(1j * theta_s), lap)
+    u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
     if u_max is None:
         return u, np.zeros_like(u, dtype=bool)
     return np.clip(u, -u_max, u_max), np.abs(u) > u_max
@@ -287,18 +298,18 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     kvec = cfg.gains.gains
     if cfg.gains.classification is GainClass.OTHER:
         warnings.warn("gain set has non-negative sum; no descent guarantee applies")
-    lap = None
+    edges = None
     if cfg.topology is not None:
         if not is_connected(cfg.topology):
             warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-        lap = laplacian(cfg.topology)
+        edges = edge_arrays(cfg.topology)
 
     theta0 = cfg.theta0.astype(float).copy()
     if cfg.jitter:
         rng = np.random.default_rng(cfg.seed)
         theta0 = theta0 + rng.uniform(-1e-6, 1e-6, cfg.n)
 
-    rhs = _make_rhs(kvec, cfg.omega0, lap, cfg.u_max if cfg.saturate else None)
+    rhs = _make_rhs(kvec, cfg.omega0, edges, cfg.u_max if cfg.saturate else None)
     y = np.empty((3, cfg.n))
     y[0] = theta0
     y[1] = cfg.positions0[:, 0]
@@ -345,7 +356,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
         t_sync = below_since
 
     theta_s = states[:, 0]
-    controls, sat_mask = _controls(theta_s, lap, kvec, cfg.omega0,
+    controls, sat_mask = _controls(theta_s, edges, kvec, cfg.omega0,
                                    cfg.u_max if cfg.saturate else None)
     traj = TrajectoryRecord(
         times=np.arange(n_samples) * stride * cfg.dt,
@@ -355,7 +366,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
         saturated=sat_mask,
         gains=kvec,
         omega0=cfg.omega0,
-        lap=lap,
+        edges=edges,
     )
 
     theta_final = y[0]
@@ -391,7 +402,7 @@ def rotating_frame(traj: TrajectoryRecord, omega0: float) -> TrajectoryRecord:
         saturated=traj.saturated.copy(),
         gains=traj.gains,
         omega0=traj.omega0 - omega0,
-        lap=traj.lap,
+        edges=traj.edges,
     )
 
 

@@ -10,7 +10,8 @@ balanced arrangement. Two scalar potentials drive the controllers:
   * mean-field alignment potential   (N/2) * (1 - |p|^2), minimized at sync;
   * graph coupling potential         (1/2) <e^{i theta}, L e^{i theta}> for a
     graph Laplacian L, which reduces to N times the mean-field potential on
-    the complete graph and is minimized at sync for any connected graph.
+    the complete graph and is minimized at sync for any connected graph. It
+    is evaluated over the graph's edge list, never as a dense matrix product.
 
 All functions here are pure and stateless.
 """
@@ -65,25 +66,44 @@ def order_parameter(theta) -> OrderParameter:
     return OrderParameter(magnitude=mag, mean_phase=phase, as_complex=p)
 
 
-def _grad(z: np.ndarray, lap: np.ndarray | None) -> np.ndarray:
+def _edge_products(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """z[..., src] * conj(z[..., dst]) for a batch z, the same floats as the
+    1-D expression in _grad with one (..., edges) temporary fewer."""
+    prod = z[..., src]
+    other = z[..., dst]
+    prod *= np.conjugate(other, out=other)
+    return prod
+
+
+def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """dPhi/dtheta_k for unit heading vectors z = e^{i theta} of shape (..., n).
 
-    ``lap`` None selects the mean-field potential, otherwise the graph
-    potential of that Laplacian. The one coupling kernel: the integrator's
-    right-hand side, the recorded controls, the control API and the public
-    gradients all evaluate it, so they agree bit for bit.
+    ``edges`` None selects the mean-field potential, otherwise the graph
+    potential of the directed edge arrays (src, dst) from
+    ``topology.edge_arrays``: component k is -sum_{j in N_k} sin(theta_j -
+    theta_k) = sum_{j in N_k} Im(z_k conj(z_j)), summed per node by one
+    bincount (leading axes get row offsets, so each row sums in the order a
+    1-D call does). The one coupling kernel: the integrator's right-hand
+    side, the recorded controls, the control API and the public gradients
+    all evaluate it, so they agree bit for bit.
     """
-    if lap is None:
+    if edges is None:
         return -np.imag(z.sum(axis=-1, keepdims=True) / z.shape[-1] * np.conj(z))
-    return np.imag(np.conj(z) * (lap @ z[..., None])[..., 0])
+    src, dst = edges
+    if z.ndim == 1:  # the RHS path: plain indexing, no reshape
+        return np.bincount(src, (z[src] * z[dst].conj()).imag, z.size)
+    w = _edge_products(z, src, dst).imag
+    rows = np.arange(0, z.size, z.shape[-1])[:, None]
+    return np.bincount((src + rows).ravel(), w.ravel(), z.size).reshape(z.shape)
 
 
-def _potential(z: np.ndarray, lap: np.ndarray | None) -> np.ndarray:
+def _potential(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Phi over the last axis of z, the potential whose gradient is _grad."""
-    if lap is None:
+    if edges is None:
         n = z.shape[-1]
         return 0.5 * n * (1.0 - np.abs(z.sum(axis=-1) / n) ** 2)
-    return 0.5 * np.sum(np.real(np.conj(z) * (lap @ z[..., None])[..., 0]), axis=-1)
+    src, dst = edges
+    return 0.5 * np.sum(1.0 - _edge_products(z, src, dst).real, axis=-1)
 
 
 def alignment_potential(theta) -> float:
@@ -100,13 +120,27 @@ def alignment_potential_grad(theta) -> np.ndarray:
     return _grad(np.exp(1j * as_heading_vector(theta)), None)
 
 
-def _check_laplacian_shape(th: np.ndarray, lap) -> np.ndarray:
+def _laplacian_edges(th: np.ndarray, lap) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edge arrays of a dense Laplacian over the headings th.
+
+    Only the Laplacian of an unweighted undirected graph (symmetric,
+    off-diagonal entries 0 or -1, diagonal equal to the degree) is accepted:
+    the edge form of the potential equals the quadratic form only for those.
+    """
     lap = np.asarray(lap, dtype=float)
     if lap.shape != (th.size, th.size):
         raise ValueError(
             f"Laplacian shape {lap.shape} does not match {th.size} headings"
         )
-    return lap
+    src, dst = np.divmod(np.flatnonzero(lap != 0.0), th.size)  # row-major (k, j)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    back = np.lexsort((src, dst))  # the transposed entries in row-major order
+    if not (np.all(lap[src, dst] == -1.0)
+            and np.array_equal(src, dst[back]) and np.array_equal(dst, src[back])
+            and np.array_equal(np.diagonal(lap), np.bincount(src, minlength=th.size))):
+        raise ValueError("lap is not the Laplacian of an unweighted undirected graph")
+    return src, dst
 
 
 def laplacian_potential(theta, lap) -> float:
@@ -116,7 +150,7 @@ def laplacian_potential(theta, lap) -> float:
     the Laplacian of an undirected graph.
     """
     th = as_heading_vector(theta)
-    return float(_potential(np.exp(1j * th), _check_laplacian_shape(th, lap)))
+    return float(_potential(np.exp(1j * th), _laplacian_edges(th, lap)))
 
 
 def laplacian_potential_grad(theta, lap) -> np.ndarray:
@@ -126,7 +160,7 @@ def laplacian_potential_grad(theta, lap) -> np.ndarray:
     to zero for undirected graphs.
     """
     th = as_heading_vector(theta)
-    return _grad(np.exp(1j * th), _check_laplacian_shape(th, lap))
+    return _grad(np.exp(1j * th), _laplacian_edges(th, lap))
 
 
 def lyapunov_rate(theta, gains, lap=None) -> float:
@@ -142,7 +176,6 @@ def lyapunov_rate(theta, gains, lap=None) -> float:
     k = as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    if lap is not None:
-        lap = _check_laplacian_shape(th, lap)
-    g = _grad(np.exp(1j * th), lap)
+    edges = None if lap is None else _laplacian_edges(th, lap)
+    g = _grad(np.exp(1j * th), edges)
     return float(np.sum(k * g * g))

@@ -82,6 +82,17 @@ def laplacian(g: InteractionGraph) -> np.ndarray:
     return lap
 
 
+def edge_arrays(g: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edge arrays (src, dst) of g: each undirected edge listed both
+    ways, as intp arrays sorted by (src, dst), the row-major order of the
+    Laplacian's off-diagonal entries. The coupling kernel reads these."""
+    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate((e[:, 0], e[:, 1]))
+    dst = np.concatenate((e[:, 1], e[:, 0]))
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
 def is_connected(g: InteractionGraph) -> bool:
     """Breadth-first reachability of every node from node 0."""
     if g.n == 1:

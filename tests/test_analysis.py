@@ -89,6 +89,41 @@ class TestRotatedFrame:
         with pytest.raises(ValueError):
             rotated_frame([0.0, np.pi])
 
+    def test_equals_every_reference_search_exactly(self):
+        """Against trying every heading as the reference (O(n^2)): same
+        theta_R, theta_hat0 and span to the bit, over exact ties, evenly
+        spread headings, antipodal clusters and arcs across the +-pi cut."""
+
+        def every_reference(th):
+            best_span, best_rel, best_ref = np.inf, None, 0.0
+            for cand in th:
+                rel = np.mod(th - cand, 2.0 * np.pi)
+                if rel.max() < best_span:
+                    best_span, best_rel, best_ref = float(rel.max()), rel, float(cand)
+            return best_ref, best_rel, best_span
+
+        rng = np.random.default_rng(31)
+        for case in range(1500):
+            n = int(rng.integers(2, 30))
+            kind = case % 4
+            if kind == 0:
+                th = rng.choice(rng.uniform(-3.1, 3.1, int(rng.integers(1, 5))), n)
+            elif kind == 1:
+                th = np.linspace(-3.0, 3.0, n) + rng.normal(0.0, 1e-16, n) * rng.integers(0, 2)
+            elif kind == 2:
+                base = rng.uniform(-1.0, 1.0) + np.where(rng.random(n) < 0.5, 0.0, np.pi)
+                th = wrap_angle(base + rng.normal(0.0, 10.0 ** rng.uniform(-16, -3), n))
+            else:
+                side = np.where(rng.random(n) < 0.5, np.pi, -np.pi)
+                th = side - np.sign(side) * rng.uniform(1e-9, 0.3, n)
+            th = np.asarray(th)[(th > -np.pi) & (th < np.pi)]
+            if th.size < 2:
+                continue
+            frame = rotated_frame(th)
+            ref, rel, span = every_reference(th)
+            assert frame.theta_R == ref and frame.span == span, repr(th)
+            assert np.array_equal(frame.theta_hat0, rel), repr(th)
+
 
 class TestPredictDirection:
     def test_set1_reference_value(self, six_theta0):

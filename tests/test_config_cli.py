@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 import swarmsync
-from swarmsync import ConfigError, dump_config, load_config, parse_config, run_scenario
+from swarmsync import (
+    SCENARIOS,
+    ConfigError,
+    dump_config,
+    load_config,
+    parse_config,
+    run_scenario,
+)
 from swarmsync.cli import main
+from swarmsync.dynamics import STEP_BUDGET, _step_counts
 
 BASE_DOC = {
     "n": 2,
@@ -283,6 +291,21 @@ class TestRejectedInputs:
     def test_record_above_budget(self, tmp_path, capsys):
         """1e9 samples of 2 agents; rejected before any array is allocated."""
         self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "t_max": 1e7}, "t_max")
+
+    def test_steps_above_budget(self, tmp_path, capsys):
+        """4e6 recorded values fit the record budget, but 2e8 RK4 steps would
+        run for hours; every bundled scenario and a 10^4-agent ring for 10 s
+        stay inside the step budget."""
+        doc = {**BASE_DOC, "t_max": 2e6, "record_stride": 100}
+        with pytest.raises(ValueError, match="step budget"):  # before a run could start
+            _step_counts(parse_config(doc))
+        self.assert_rejected(tmp_path, capsys, doc, "step budget")
+        target = parse_config({
+            "n": 10_000, "theta0_deg": [0.0] * 10_000, "gains": [-1.0] * 10_000,
+            "topology": "ring", "t_max": 10.0, "record_stride": 10,
+        })
+        configs = [target] + [cfg for build in SCENARIOS.values() for _, cfg in build()]
+        assert max(_step_counts(cfg)[0] for cfg in configs) <= STEP_BUDGET
 
     def test_budget_binds_only_runs(self, tmp_path, capsys):
         """n = 4000 with the default horizon would record 4e7 values, above

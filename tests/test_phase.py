@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from swarmsync import (
+    InteractionGraph,
     alignment_potential,
     alignment_potential_grad,
     complete_graph,
@@ -19,6 +20,8 @@ from swarmsync import (
     order_parameter,
     ring_graph,
 )
+from swarmsync.phase import _grad, _potential
+from swarmsync.topology import edge_arrays
 
 RNG = np.random.default_rng(101)
 
@@ -195,6 +198,61 @@ class TestLaplacianGradient:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             laplacian_potential_grad([0.0, 1.0], laplacian(ring_graph(3)))
+
+
+def dense_grad(z, lap):
+    """The graph gradient as the quadratic form's matrix product, Im(conj(z) * (L z))."""
+    return np.imag(np.conj(z) * (lap @ z[..., None])[..., 0])
+
+
+def dense_potential(z, lap):
+    return 0.5 * np.sum(np.real(np.conj(z) * (lap @ z[..., None])[..., 0]), axis=-1)
+
+
+def random_graph(n, p):
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n) if RNG.random() < p]
+    return InteractionGraph(n, tuple(pairs))
+
+
+class TestEdgeKernel:
+    def test_matches_dense_laplacian_product(self):
+        """The edge-list kernel against L z on random graphs, sparse ones with
+        isolated nodes, the edgeless graph and an (S, n) batch, whose rows are
+        bit-identical to the 1-D calls the integrator makes."""
+        graphs = [InteractionGraph(5, ()), InteractionGraph(1, ())]
+        for _ in range(60):
+            n = int(RNG.integers(2, 14))
+            graphs.append(random_graph(n, RNG.choice([0.1, 0.3, 0.7, 1.0])))
+        for g in graphs:
+            lap, edges = laplacian(g), edge_arrays(g)
+            assert edges[0].dtype == np.intp and edges[0].size == 2 * g.edge_count
+            z = np.exp(1j * RNG.uniform(-9.0, 9.0, (7, g.n)))
+            batch = _grad(z, edges)
+            np.testing.assert_allclose(batch, dense_grad(z, lap), rtol=0, atol=ALGEBRA_TOL)
+            np.testing.assert_allclose(
+                _potential(z, edges), dense_potential(z, lap), rtol=0, atol=ALGEBRA_TOL
+            )
+            for s in range(z.shape[0]):
+                assert np.array_equal(batch[s], _grad(z[s], edges))
+                assert _potential(z[s], edges) == pytest.approx(
+                    dense_potential(z[s], lap), abs=ALGEBRA_TOL
+                )
+
+    @pytest.mark.parametrize("lap", [
+        [[1.0, -1.0], [-1.0, 2.0]],                       # diagonal is not the degree
+        [[2.0, -2.0], [-2.0, 2.0]],                       # weighted edge
+        [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],   # not symmetric
+        [[0.5, -0.5], [-0.5, 0.5]],                       # fractional weight
+        [[1.0, 1.0], [1.0, 1.0]],                         # positive off-diagonal
+        [[np.nan, 0.0], [0.0, 0.0]],                      # non-finite
+    ])
+    def test_rejects_matrices_that_are_not_graph_laplacians(self, lap):
+        theta = np.linspace(0.0, 1.0, len(lap))
+        for call in (lambda: laplacian_potential(theta, lap),
+                     lambda: laplacian_potential_grad(theta, lap),
+                     lambda: lyapunov_rate(theta, -np.ones(theta.size), lap)):
+            with pytest.raises(ValueError, match="not the Laplacian"):
+                call()
 
 
 class TestLyapunovRate:
