@@ -43,6 +43,7 @@ from .dynamics import (
     TrajectoryRecord,
     rotating_frame,
     simulate,
+    simulate_batch,
     step,
 )
 from .phase import (
@@ -103,6 +104,7 @@ __all__ = [
     "TrajectoryRecord",
     "rotating_frame",
     "simulate",
+    "simulate_batch",
     "step",
     "OrderParameter",
     "alignment_potential",

@@ -63,10 +63,7 @@ def resolve_gains(value, n: int) -> np.ndarray:
             return named_gain_set(value, n)
         except ValueError as exc:
             raise ConfigError(f"field 'gains': {exc}") from exc
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size != n:
-        raise ConfigError(f"field 'gains': expected {n} values, got shape {arr.shape}")
-    return arr
+    return _numbers("gains", value, (n,))
 
 
 def resolve_topology(value, n: int) -> InteractionGraph | None:
@@ -89,12 +86,45 @@ def resolve_topology(value, n: int) -> InteractionGraph | None:
 
 
 def _integer(name: str, value) -> int:
-    """An integral config entry: 2.0 is read as 2, while 2.9 is an error, not 2."""
+    """An integral config entry: 2.0 is read as 2, while 2.9 and true are
+    errors, not 2 and 1."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """A JSON number; true/false, strings, null, lists and objects are errors,
+    not coerced (true is not 1.0)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"field '{name}': expected a number, got {value!r}")
+
+
+def _numbers(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A JSON list of numbers of a 1-D shape, or of rows of numbers of a 2-D
+    shape, as a float array; entries are held to _number's rule."""
+    ok = isinstance(value, list) and len(value) == shape[0]
+    flat = value
+    if ok and len(shape) == 2:
+        ok = all(isinstance(row, list) and len(row) == shape[1] for row in value)
+        flat = [v for row in value for v in row] if ok else None
+    if not ok:
+        expected = f"{shape[0]} values" if len(shape) == 1 else f"shape {shape}"
+        raise ConfigError(f"field '{name}': expected {expected}")
+    for kind in set(map(type, flat)):  # one check per distinct type, fast at large n
+        if not issubclass(kind, (int, float)) or issubclass(kind, bool):
+            bad = next(v for v in flat if type(v) is kind)
+            raise ConfigError(f"field '{name}': expected numbers, got {bad!r}")
+    try:
+        return np.array(flat, dtype=float).reshape(shape)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"field '{name}': {exc}") from exc
 
 
 def _boolean(name: str, value) -> bool:
@@ -114,15 +144,11 @@ def parse_config(doc: dict) -> SimulationConfig:
         if name not in doc:
             raise ConfigError(f"field '{name}': missing")
     n = _integer("n", doc["n"])
-    theta0_deg = np.asarray(doc["theta0_deg"], dtype=float)
-    if theta0_deg.ndim != 1 or theta0_deg.size != n:
-        raise ConfigError(f"field 'theta0_deg': expected {n} values")
+    theta0_deg = _numbers("theta0_deg", doc["theta0_deg"], (n,))
     merged = {**_DEFAULTS, **doc}
     positions0 = merged["positions0"]
     if positions0 is not None:
-        positions0 = np.asarray(positions0, dtype=float)
-        if positions0.shape != (n, 2):
-            raise ConfigError(f"field 'positions0': expected shape ({n}, 2)")
+        positions0 = _numbers("positions0", positions0, (n, 2))
     try:
         gains = GainVector(resolve_gains(merged["gains"], n))
     except ValueError as exc:
@@ -136,11 +162,11 @@ def parse_config(doc: dict) -> SimulationConfig:
             theta0=np.deg2rad(theta0_deg),
             gains=gains,
             positions0=positions0,
-            omega0=float(merged["omega0"]),
+            omega0=_number("omega0", merged["omega0"]),
             topology=topology,
-            dt=float(merged["dt"]),
-            t_max=float(merged["t_max"]),
-            u_max=None if merged["u_max"] is None else float(merged["u_max"]),
+            dt=_number("dt", merged["dt"]),
+            t_max=_number("t_max", merged["t_max"]),
+            u_max=None if merged["u_max"] is None else _number("u_max", merged["u_max"]),
             saturate=_boolean("saturate", merged["saturate"]),
             record_stride=_integer("record_stride", merged["record_stride"]),
             seed=None if merged["seed"] is None else _integer("seed", merged["seed"]),

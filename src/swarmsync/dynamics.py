@@ -40,8 +40,9 @@ CSV_FLOAT_FMT = "%.17g"
 # `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
 # 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
 RECORD_BUDGET = 2**25
-# Largest number of RK4 steps simulate() may take: about 14 minutes at the
-# 50 us a step of an n=6 run, far above every bundled scenario (80,000 steps).
+# Largest number of RK4 steps simulate() may take: 7 to 15 minutes at the
+# 26 to 53 us a step of an n=6 mean-field run with stride 1 (a shared 2-core
+# x86-64 host, quiet and busy), far above every bundled scenario (80,000 steps).
 STEP_BUDGET = 2**24
 
 
@@ -114,6 +115,8 @@ class SimulationConfig:
             raise ValueError("t_max must exceed dt")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.topology is not None and self.topology.n != self.n:
             raise ValueError("topology node count does not match n")
         if self.saturate and self.u_max is None:
@@ -232,44 +235,167 @@ class ConvergenceReport:
         }
 
 
-def _make_rhs(kvec: np.ndarray, omega0: float,
-              edges: tuple[np.ndarray, np.ndarray] | None, u_max: float | None):
-    """Derivative of the joint state y = [theta; x; y], shape (3, n)."""
+def _make_rhs(kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
+              u_max: float | None, shape: tuple[int, ...]):
+    """rhs(theta, u, xy): the derivative of the joint state [theta; x; y] of
+    shape (*batch, 3, n) at headings theta (*batch, n), written into its
+    heading rows u and position rows xy. kvec and omega0 broadcast against
+    theta."""
+    z = np.empty(shape[:-2] + shape[-1:], dtype=complex)
+    cos_sin = z.view(float).reshape(*z.shape, 2).swapaxes(-1, -2)  # (*batch, 2, n) view of z
+    # numpy scalars as 0-d arrays: the same floats, a faster ufunc call than Python numbers
+    i1, omega0 = np.array(1j), np.asarray(omega0, dtype=float)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * y[0])
-        u = omega0 + kvec * _grad(z, edges)
+    def rhs(theta: np.ndarray, u: np.ndarray, xy: np.ndarray) -> None:
+        np.exp(np.multiply(i1, theta, out=z), out=z)
+        np.multiply(kvec, _grad(z, edges), out=u)
+        np.add(omega0, u, out=u)
         if u_max is not None:
             np.clip(u, -u_max, u_max, out=u)
-        out = np.empty_like(y)
-        out[0] = u
-        out[1] = z.real
-        out[2] = z.imag
-        return out
+        np.copyto(xy, cos_sin)
 
     return rhs
 
 
-def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + (0.5 * dt) * k1)
-    k3 = rhs(y + (0.5 * dt) * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs, dt: float, shape: tuple[int, ...]):
+    """step(y, out): one classical RK4 step of dt from y into out, both of
+    the state's shape, through stage buffers allocated once here. Each
+    operation writes into a buffer, in the order of the expression
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stage headings theta + (dt/2) k1,
+    theta + (dt/2) k2 and theta + dt k3, so the result is the same floats."""
+    k1, k2, k3, k4 = (np.empty(shape) for _ in range(4))
+    (u1, xy1), (u2, xy2), (u3, xy3), (u4, xy4) = ((k[..., 0, :], k[..., 1:, :])
+                                                  for k in (k1, k2, k3, k4))
+    stage = np.empty(u1.shape)
+    half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
+
+    def step(y: np.ndarray, out: np.ndarray) -> None:
+        theta = y[..., 0, :]
+        rhs(theta, u1, xy1)
+        rhs(np.add(theta, np.multiply(half, u1, out=stage), out=stage), u2, xy2)
+        rhs(np.add(theta, np.multiply(half, u2, out=stage), out=stage), u3, xy3)
+        rhs(np.add(theta, np.multiply(full, u3, out=stage), out=stage), u4, xy4)
+        np.add(k1, np.multiply(two, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(two, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(y, np.multiply(sixth, k1, out=k1), out=out)
+
+    return step
+
+
+def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
+                t_sync: np.ndarray) -> None:
+    """Advance sync detection over the headings theta (L, R, n) of R runs at
+    the L consecutive step times t.
+
+    below_since (R,) holds the start of each run's open window of spreads
+    below SYNC_TOL and t_sync (R,) the start of the first window held for
+    SYNC_HOLD, nan for none; both are updated in place. The decisions are
+    those of checking each step in turn: a window opens at the first step
+    below SYNC_TOL, closes at the next step that is not, and counts once
+    t - start >= SYNC_HOLD at one of its steps. The spread is exact whenever
+    the headings fit in an arc < pi, which covers the sync threshold regime.
+    """
+    d = wrap_angle(theta - theta[..., :1])
+    below = d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL
+    if not below.any():  # every window closes: the common case before sync
+        below_since[:] = np.nan
+        return
+    steps = np.arange(t.size)[:, None]
+    last_above = np.maximum.accumulate(np.where(below, -1, steps), axis=0)
+    carried = np.where(np.isnan(below_since), t[0], below_since)
+    start = np.where(last_above < 0, carried, t[np.minimum(last_above + 1, t.size - 1)])
+    held = below & (t[:, None] - start >= SYNC_HOLD)
+    first = held.argmax(axis=0)[None]
+    found = np.take_along_axis(held, first, axis=0)[0] & np.isnan(t_sync)
+    t_sync[found] = np.take_along_axis(start, first, axis=0)[0][found]
+    below_since[:] = np.where(below[-1], start[-1], np.nan)
+
+
+# The sync observer evaluates the states of as many steps at once as fit in
+# this many bytes (at least two): hundreds of steps at small n, where the
+# per-step cost of numpy calls dominates, and two at large n, where a larger
+# block and its temporaries would add to the peak memory of the run.
+OBSERVER_BLOCK_BYTES = 2**16
+
+
+def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
+               u_max: float | None, dt: float, n_steps: int, stride: int):
+    """Integrate R runs of the closed loop that share edges, u_max, dt, the
+    step count and the stride, from the joint states y0 of shape
+    (*batch, 3, n) (no batch axis for one run, so the coupling kernel takes
+    its 1-D path; R = 1 then).
+
+    Steps fill a block of states; each block goes through the sync observer
+    at once, and its states at multiples of ``stride`` steps are recorded
+    and checked finite. Returns the recorded states
+    (n_steps // stride + 1, *batch, 3, n), the final state, and per run (as
+    (R,) arrays) the sync time and the time of its first non-finite recorded
+    or final state, nan for none. Stops early once every run has diverged.
+    """
+    shape = y0.shape
+    runs = int(np.prod(shape[:-2]))
+    states = np.empty((n_steps // stride + 1, *shape))
+    slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
+    block = np.empty((slots, *shape))
+    step = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, shape), dt, shape)
+    below_since = np.full(runs, np.nan)
+    t_sync = np.full(runs, np.nan)
+    t_bad = np.full(runs, np.nan)
+
+    block[0] = y0
+    for start in range(0, n_steps + 1, slots):
+        size = min(slots, n_steps + 1 - start)
+        for i in range(1 if start == 0 else 0, size):
+            step(block[i - 1], block[i])
+        t = np.arange(start, start + size) * dt
+        if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
+            _sync_block(block[:size, ..., 0, :].reshape(size, runs, -1), t, below_since, t_sync)
+        first = -(-start // stride) * stride
+        recorded = block[first - start:size:stride]
+        states[first // stride:first // stride + len(recorded)] = recorded
+        finite = np.isfinite(recorded).all(axis=(-2, -1)).reshape(len(recorded), runs)
+        if not finite.all():
+            bad = ~finite.all(axis=0) & np.isnan(t_bad)
+            t_bad[bad] = t[first - start::stride][finite[:, bad].argmin(axis=0)]
+            if not np.isnan(t_bad).any():
+                break
+    final = block[size - 1]
+    if start + size == n_steps + 1:
+        bad = ~np.isfinite(final).all(axis=(-2, -1)).reshape(runs) & np.isnan(t_bad)
+        t_bad[bad] = n_steps * dt
+    return states, final, t_sync, t_bad
+
+
+def _law(cfg: SimulationConfig):
+    """The coupling law of cfg as _integrate takes it: gains, omega0, edge
+    arrays (None for mean-field) and the clip limit (None unless saturating)."""
+    edges = None if cfg.topology is None else edge_arrays(cfg.topology)
+    return cfg.gains.gains, cfg.omega0, edges, cfg.u_max if cfg.saturate else None
+
+
+def _start(cfg: SimulationConfig) -> np.ndarray:
+    """The run's initial joint state [theta; x; y], (3, n), with the seeded
+    heading jitter if set; warns when the gains or the graph give no
+    convergence guarantee."""
+    if cfg.gains.classification is GainClass.OTHER:
+        warnings.warn("gain set has non-negative sum; no descent guarantee applies")
+    if cfg.topology is not None and not is_connected(cfg.topology):
+        warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
+    theta0 = cfg.theta0
+    if cfg.jitter:
+        rng = np.random.default_rng(cfg.seed)
+        theta0 = theta0 + rng.uniform(-1e-6, 1e-6, cfg.n)
+    return np.vstack((theta0, cfg.positions0.T), dtype=float)
 
 
 def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme."""
-    kvec = cfg.gains.gains
-    edges = None if cfg.topology is None else edge_arrays(cfg.topology)
-    rhs = _make_rhs(kvec, cfg.omega0, edges, cfg.u_max if cfg.saturate else None)
-    y = np.empty((3, cfg.n))
-    y[0] = state.theta
-    y[1] = state.positions[:, 0]
-    y[2] = state.positions[:, 1]
-    y = _rk4_step(rhs, y, cfg.dt)
-    if not np.all(np.isfinite(y)):
+    y0 = np.vstack((state.theta, np.transpose(state.positions)), dtype=float)
+    states, _, _, t_bad = _integrate(y0, *_law(cfg), cfg.dt, 1, 1)
+    if not np.isnan(t_bad[0]):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
+    y = states[1]
     return SwarmState(
         t=state.t + cfg.dt,
         positions=np.column_stack((y[1], y[2])),
@@ -277,14 +403,41 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     )
 
 
-def _controls(theta_s: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
-              kvec: np.ndarray, omega0: float, u_max: float | None):
-    """Commands the right-hand side evaluates at each (S, n) sample, and where
-    clipping changed them (strictly beyond u_max)."""
+def _outcome(cfg: SimulationConfig, n_steps: int, states: np.ndarray, final: np.ndarray,
+             t_sync: float) -> tuple[TrajectoryRecord, ConvergenceReport]:
+    """The record and report of one run from its recorded states (S, 3, n),
+    its final state (3, n) and its sync time (nan for none)."""
+    kvec, omega0, edges, u_max = _law(cfg)
+    theta_s = states[:, 0]
+    # the commands the right-hand side evaluates at each sample, and where
+    # clipping changed them (strictly beyond u_max)
     u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
     if u_max is None:
-        return u, np.zeros_like(u, dtype=bool)
-    return np.clip(u, -u_max, u_max), np.abs(u) > u_max
+        controls, saturated = u, np.zeros_like(u, dtype=bool)
+    else:
+        controls, saturated = np.clip(u, -u_max, u_max), np.abs(u) > u_max
+    traj = TrajectoryRecord(
+        times=np.arange(len(states)) * cfg.record_stride * cfg.dt,
+        theta=theta_s,
+        positions=states[:, 1:].transpose(0, 2, 1),
+        controls=controls,
+        saturated=saturated,
+        gains=kvec,
+        omega0=omega0,
+        edges=edges,
+    )
+    synchronized = not np.isnan(t_sync)
+    heading: float | None = None
+    if synchronized:
+        th_rot = final[0] - omega0 * (n_steps * cfg.dt)
+        heading = float(np.angle(np.exp(1j * th_rot).mean()))
+    report = ConvergenceReport(
+        synchronized=synchronized,
+        t_sync=float(t_sync) if synchronized else None,
+        final_heading_common=heading,
+        max_heading_spread_final=heading_spread(final[0]),
+    )
+    return traj, report
 
 
 def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport]:
@@ -294,96 +447,56 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     difference stays below SYNC_TOL for SYNC_HOLD seconds; t_sync is the start
     of the first such window.
     """
-    n_steps, n_samples = _step_counts(cfg)
-    kvec = cfg.gains.gains
-    if cfg.gains.classification is GainClass.OTHER:
-        warnings.warn("gain set has non-negative sum; no descent guarantee applies")
-    edges = None
-    if cfg.topology is not None:
-        if not is_connected(cfg.topology):
-            warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-        edges = edge_arrays(cfg.topology)
+    n_steps, _ = _step_counts(cfg)
+    states, final, t_sync, t_bad = _integrate(_start(cfg), *_law(cfg), cfg.dt, n_steps,
+                                              cfg.record_stride)
+    if not np.isnan(t_bad[0]):
+        raise DivergenceError(f"non-finite state at t={t_bad[0]:g}")
+    return _outcome(cfg, n_steps, states, final, t_sync[0])
 
-    theta0 = cfg.theta0.astype(float).copy()
-    if cfg.jitter:
-        rng = np.random.default_rng(cfg.seed)
-        theta0 = theta0 + rng.uniform(-1e-6, 1e-6, cfg.n)
 
-    rhs = _make_rhs(kvec, cfg.omega0, edges, cfg.u_max if cfg.saturate else None)
-    y = np.empty((3, cfg.n))
-    y[0] = theta0
-    y[1] = cfg.positions0[:, 0]
-    y[2] = cfg.positions0[:, 1]
+def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
+    """simulate() for each config, in input order, each result equal to
+    simulate(cfg) bit for bit.
 
-    stride = cfg.record_stride
-    states = np.empty((n_samples, 3, cfg.n))
-
-    def fast_spread(th: np.ndarray) -> float:
-        # exact pairwise spread whenever the headings fit in an arc < pi,
-        # which covers the sync threshold regime
-        d = wrap_angle(th - th[0])
-        return float(d.max() - d.min())
-
-    below_since: float | None = None
-    t_sync: float | None = None
-
-    def observe(t: float, th: np.ndarray) -> None:
-        nonlocal below_since, t_sync
-        if t_sync is not None:
-            return
-        if fast_spread(th) < SYNC_TOL:
-            if below_since is None:
-                below_since = t
-            if t - below_since >= SYNC_HOLD:
-                t_sync = below_since
-        else:
-            below_since = None
-
-    states[0] = y
-    observe(0.0, y[0])
-    for i in range(n_steps):
-        y = _rk4_step(rhs, y, cfg.dt)
-        t = (i + 1) * cfg.dt
-        if (i + 1) % stride == 0:
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(f"non-finite state at t={t:g}")
-            states[(i + 1) // stride] = y
-        observe(t, y[0])
-    if not np.all(np.isfinite(y)):
-        raise DivergenceError(f"non-finite state at t={n_steps * cfg.dt:g}")
-    # a below-threshold window still open at t_max counts if long enough
-    if t_sync is None and below_since is not None and n_steps * cfg.dt - below_since >= SYNC_HOLD:
-        t_sync = below_since
-
-    theta_s = states[:, 0]
-    controls, sat_mask = _controls(theta_s, edges, kvec, cfg.omega0,
-                                   cfg.u_max if cfg.saturate else None)
-    traj = TrajectoryRecord(
-        times=np.arange(n_samples) * stride * cfg.dt,
-        theta=theta_s,
-        positions=states[:, 1:].transpose(0, 2, 1),
-        controls=controls,
-        saturated=sat_mask,
-        gains=kvec,
-        omega0=cfg.omega0,
-        edges=edges,
-    )
-
-    theta_final = y[0]
-    t_final = n_steps * cfg.dt
-    final_spread = heading_spread(theta_final)
-    synchronized = t_sync is not None
-    heading: float | None = None
-    if synchronized:
-        th_rot = theta_final - cfg.omega0 * t_final
-        heading = float(np.angle(np.exp(1j * th_rot).mean()))
-    report = ConvergenceReport(
-        synchronized=synchronized,
-        t_sync=t_sync,
-        final_heading_common=heading,
-        max_heading_spread_final=final_spread,
-    )
-    return traj, report
+    Configs that share n, topology, dt, t_max, record_stride and the clip
+    limit (u_max when saturating) are integrated together as one batch, so
+    they share the per-step cost; they may differ in theta0, gains,
+    positions0, omega0, seed and jitter. Every config is checked against the
+    budgets before any run starts, and the first one rejected raises
+    simulate's ValueError. When runs diverge, the DivergenceError simulate
+    would raise for the first diverging config in input order is raised.
+    """
+    cfgs = list(cfgs)
+    counts = [_step_counts(cfg) for cfg in cfgs]
+    starts = [_start(cfg) for cfg in cfgs]
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        limit = cfg.u_max if cfg.saturate else None
+        groups.setdefault((cfg.n, cfg.topology, cfg.dt, cfg.t_max, cfg.record_stride, limit),
+                          []).append(i)
+    results: list = [None] * len(cfgs)
+    diverged: dict[int, float] = {}
+    for rows in groups.values():
+        lead = cfgs[rows[0]]
+        n_steps, n_samples = counts[rows[0]]
+        _, _, edges, u_max = _law(lead)
+        # one batch records no more values than one run at the record budget
+        size = max(1, RECORD_BUDGET // (n_samples * lead.n))
+        for chunk in (rows[lo:lo + size] for lo in range(0, len(rows), size)):
+            states, final, t_sync, t_bad = _integrate(
+                np.stack([starts[i] for i in chunk]),
+                np.stack([cfgs[i].gains.gains for i in chunk]),
+                np.array([[cfgs[i].omega0] for i in chunk]),
+                edges, u_max, lead.dt, n_steps, lead.record_stride)
+            for b, i in enumerate(chunk):
+                if np.isnan(t_bad[b]):
+                    results[i] = _outcome(cfgs[i], n_steps, states[:, b], final[b], t_sync[b])
+                else:
+                    diverged[i] = t_bad[b]
+    if diverged:
+        raise DivergenceError(f"non-finite state at t={diverged[min(diverged)]:g}")
+    return results
 
 
 def rotating_frame(traj: TrajectoryRecord, omega0: float) -> TrajectoryRecord:

@@ -87,8 +87,9 @@ def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndar
     side, the recorded controls, the control API and the public gradients
     all evaluate it, so they agree bit for bit.
     """
-    if edges is None:
-        return -np.imag(z.sum(axis=-1, keepdims=True) / z.shape[-1] * np.conj(z))
+    if edges is None:  # Im(conj(p) z_k) with p the mean; a 1-D z keeps p a scalar
+        p = np.add.reduce(z, axis=-1, keepdims=z.ndim > 1) / z.shape[-1]
+        return (np.conj(p) * z).imag
     src, dst = edges
     if z.ndim == 1:  # the RHS path: plain indexing, no reshape
         return np.bincount(src, (z[src] * z[dst].conj()).imag, z.size)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,17 @@ class InteractionGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        src = np.concatenate((e[:, 0], e[:, 1]))
+        dst = np.concatenate((e[:, 1], e[:, 0]))
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        return src, dst
 
     def neighbors(self, k: int) -> list[int]:
         out = []
@@ -85,12 +97,10 @@ def laplacian(g: InteractionGraph) -> np.ndarray:
 def edge_arrays(g: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
     """Directed edge arrays (src, dst) of g: each undirected edge listed both
     ways, as intp arrays sorted by (src, dst), the row-major order of the
-    Laplacian's off-diagonal entries. The coupling kernel reads these."""
-    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    src = np.concatenate((e[:, 0], e[:, 1]))
-    dst = np.concatenate((e[:, 1], e[:, 0]))
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
+    Laplacian's off-diagonal entries. The coupling kernel reads these. They
+    are built once per graph, cached on it and read-only, so every run and
+    step on one graph shares them."""
+    return g._edge_arrays
 
 
 def is_connected(g: InteractionGraph) -> bool:

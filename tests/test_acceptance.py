@@ -31,6 +31,7 @@ from swarmsync import (
     rotated_frame,
     rotating_frame,
     simulate,
+    simulate_batch,
     wrap_angle,
 )
 
@@ -104,10 +105,9 @@ def test_criterion_02_closed_form_prediction():
     """Simulated common heading matches the closed form within 1e-3 rad on
     200 random acute instances and hits the two frozen reference values."""
     rng = np.random.default_rng(22)
+    cfgs = [random_acute_config(rng, n_max=8, t_max=45.0, record_stride=10) for _ in range(200)]
     worst = 0.0
-    for _ in range(200):
-        cfg = random_acute_config(rng, n_max=8, t_max=45.0, record_stride=10)
-        traj, report = simulate(cfg)
+    for cfg, (traj, report) in zip(cfgs, simulate_batch(cfgs)):
         assert report.synchronized
         predicted = predict_direction(cfg.theta0, cfg.gains)
         worst = max(worst, abs(wrap_angle(report.final_heading_common - predicted)))

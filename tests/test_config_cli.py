@@ -317,6 +317,26 @@ class TestRejectedInputs:
         assert json.loads(capsys.readouterr().out)["theta_c_deg"] == pytest.approx(0.0, abs=1e-9)
         self.assert_rejected(tmp_path, capsys, doc, "record_stride")
 
+    @pytest.mark.parametrize("field,value", [
+        ("theta0_deg", {"a": 1}),
+        ("dt", [0.01]),
+        ("omega0", None),
+        ("u_max", True),
+        ("dt", True),
+        ("n", True),
+        ("gains", ["-1", "-1"]),
+        ("theta0_deg", [0.0, None]),
+        ("positions0", [[0.0, 0.0], [0.0, "1"]]),
+        ("t_max", 10**400),
+    ], ids=lambda v: repr(v)[:20])
+    def test_wrong_json_type_named(self, tmp_path, capsys, field, value):
+        """Each once ended in a TypeError traceback or was read as another
+        value (true as 1.0, "-1" as -1.0)."""
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, field: value}, field)
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {**BASE_DOC, "seed": -1, "jitter": True}, "seed")
+
     def test_integral_float_accepted(self):
         cfg = parse_config({**BASE_DOC, "n": 2.0, "record_stride": 3.0})
         assert cfg.n == 2 and isinstance(cfg.n, int)

@@ -9,10 +9,12 @@ import pytest
 from swarmsync import (
     DivergenceError,
     GainVector,
+    InteractionGraph,
     SimulationConfig,
     SwarmState,
     TrajectoryRecord,
     alignment_potential,
+    complete_graph,
     control_all_to_all,
     control_limited,
     heading_spread,
@@ -23,9 +25,13 @@ from swarmsync import (
     ring_graph,
     rotating_frame,
     simulate,
+    simulate_batch,
     step,
     wrap_angle,
 )
+from swarmsync import dynamics
+from swarmsync.dynamics import SYNC_HOLD, SYNC_TOL
+from swarmsync.topology import edge_arrays
 
 RNG = np.random.default_rng(404)
 
@@ -123,6 +129,23 @@ class TestStep:
         np.testing.assert_allclose(coarse.theta, ref.theta, atol=1e-10)
         np.testing.assert_allclose(coarse.positions, ref.positions, atol=1e-10)
         assert abs(coarse.theta[1] - coarse.theta[0]) < np.pi / 2
+
+    def test_graph_edge_arrays_built_once_and_shared(self):
+        """step reads the arrays cached on the graph: a second step on the
+        graph reuses the same objects, and swapping the cache for an edgeless
+        one decouples the agents."""
+        graph = ring_graph(4)
+        cfg = make_config(n=4, theta0=np.array([0.0, 0.4, 0.8, 1.2]),
+                          gains=GainVector(-np.ones(4)), topology=graph, omega0=0.5)
+        state = SwarmState(t=0.0, positions=np.zeros((4, 2)), theta=cfg.theta0)
+        first = step(state, cfg)
+        cached = edge_arrays(graph)
+        again = step(state, cfg)
+        assert all(a is b for a, b in zip(edge_arrays(graph), cached))
+        assert np.array_equal(first.theta, again.theta)
+        graph.__dict__["_edge_arrays"] = (np.empty(0, np.intp), np.empty(0, np.intp))
+        np.testing.assert_allclose(step(state, cfg).theta, cfg.theta0 + 0.5 * cfg.dt,
+                                   rtol=0, atol=1e-15)
 
     def test_divergence_detected(self):
         cfg = make_config()
@@ -467,3 +490,312 @@ def test_large_ring_simulates_without_dense_matrices():
     assert np.all(np.diff(traj.graph_potential) <= 1e-9)
     final = traj.theta[-1]
     assert report.max_heading_spread_final == pytest.approx(final.max() - final.min(), abs=1e-12)
+
+
+# -- the integrator core against the serial loop it replaced -----------------
+
+
+def reference_run(cfg):
+    """The serial loop simulate() ran before the block core, kept as the
+    reference the core must equal bit for bit: the allocating RK4 step with
+    the coupling formulas of that loop, the per-step sync observer and a
+    finite check at every recorded sample. Returns the recorded states
+    (S, 3, n), the recorded controls, t_sync, the final common heading and
+    the time of the first step whose spread was below SYNC_TOL."""
+    n_steps = int(cfg.t_max / cfg.dt + 1e-9)
+    dt, omega0, kvec = cfg.dt, cfg.omega0, cfg.gains.gains
+    edges = None if cfg.topology is None else edge_arrays(cfg.topology)
+    u_max = cfg.u_max if cfg.saturate else None
+
+    def law(theta):
+        z = np.exp(1j * theta)
+        if edges is None:
+            g = -np.imag(z.sum(axis=-1, keepdims=True) / z.shape[-1] * np.conj(z))
+        else:
+            g = np.bincount(edges[0], (z[edges[0]] * z[edges[1]].conj()).imag, z.size)
+        u = omega0 + kvec * g
+        return (u if u_max is None else np.clip(u, -u_max, u_max)), z
+
+    def rhs(y):
+        u, z = law(y[0])
+        out = np.empty_like(y)
+        out[0] = u
+        out[1] = z.real
+        out[2] = z.imag
+        return out
+
+    def rk4(y):
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    theta0 = cfg.theta0.astype(float).copy()
+    if cfg.jitter:
+        theta0 = theta0 + np.random.default_rng(cfg.seed).uniform(-1e-6, 1e-6, cfg.n)
+    y = np.empty((3, cfg.n))
+    y[0] = theta0
+    y[1] = cfg.positions0[:, 0]
+    y[2] = cfg.positions0[:, 1]
+    below_since = t_sync = first_below = None
+
+    def observe(t, th):
+        nonlocal below_since, t_sync, first_below
+        d = wrap_angle(th - th[0])
+        below = float(d.max() - d.min()) < SYNC_TOL
+        if below and first_below is None:
+            first_below = t
+        if t_sync is not None:
+            return
+        if below:
+            if below_since is None:
+                below_since = t
+            if t - below_since >= SYNC_HOLD:
+                t_sync = below_since
+        else:
+            below_since = None
+
+    states = [y]
+    observe(0.0, y[0])
+    for i in range(n_steps):
+        y = rk4(y)
+        t = (i + 1) * dt
+        if (i + 1) % cfg.record_stride == 0:
+            assert np.all(np.isfinite(y))
+            states.append(y)
+        observe(t, y[0])
+    assert np.all(np.isfinite(y))
+    if t_sync is None and below_since is not None and n_steps * dt - below_since >= SYNC_HOLD:
+        t_sync = below_since
+    heading = None
+    if t_sync is not None:
+        heading = float(np.angle(np.exp(1j * (y[0] - omega0 * (n_steps * dt))).mean()))
+    states = np.array(states)
+    controls = np.array([law(th)[0] for th in states[:, 0]])
+    return states, controls, t_sync, heading, first_below
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(cfg, traj, report, ref=None):
+    states, controls, t_sync, heading, _ = reference_run(cfg) if ref is None else ref
+    assert same_bits(traj.theta, states[:, 0])
+    assert same_bits(traj.positions, states[:, 1:].transpose(0, 2, 1))
+    assert same_bits(traj.controls, controls)
+    assert report.t_sync == t_sync
+    assert report.final_heading_common == heading
+
+
+def assert_same_run(a, b):
+    """Two (TrajectoryRecord, ConvergenceReport) pairs equal bit for bit."""
+    for name in ("times", "theta", "positions", "controls", "saturated", "p_mag", "p_psi",
+                 "potential", "graph_potential", "conserved"):
+        assert same_bits(getattr(a[0], name), getattr(b[0], name)), name
+    assert a[1] == b[1]
+
+
+def edge_list_graph(n):
+    """A path through every node plus two chords: neither ring nor complete."""
+    return InteractionGraph(n, tuple((k, k + 1) for k in range(n - 1)) + ((0, n - 1), (0, 2)))
+
+
+def core_configs():
+    rng = np.random.default_rng(606)
+    cfgs = []
+    for n in range(2, 9):
+        for stride in (1, 3, 10):
+            cfg = random_negative_config(rng, n_max=2, with_ring=False, t_max=25.0,
+                                         record_stride=stride)
+            cfgs.append(dataclasses.replace(cfg, n=n, theta0=rng.uniform(-1.0, 1.0, n),
+                                            gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, n))),
+                                            positions0=rng.uniform(-3.0, 3.0, (n, 2))))
+    six = dict(n=6, theta0=np.deg2rad([-60.0, -45.0, -30.0, 30.0, 45.0, 60.0]),
+               gains=GainVector(named_gain_set("set1", 6)), t_max=25.0)
+    cfgs += [
+        SimulationConfig(**six, topology=ring_graph(6), record_stride=3),
+        SimulationConfig(**six, topology=edge_list_graph(6), record_stride=10),
+        SimulationConfig(**six, omega0=0.5, record_stride=1),
+        SimulationConfig(**six, omega0=-0.3, topology=ring_graph(6), record_stride=10),
+        SimulationConfig(**{**six, "gains": GainVector(named_gain_set("set2", 6)), "t_max": 60.0},
+                         u_max=0.1, saturate=True, record_stride=3),
+        SimulationConfig(**six, u_max=0.5, saturate=True, topology=ring_graph(6), omega0=0.2),
+        SimulationConfig(**six, jitter=True, seed=5, record_stride=10),
+    ]
+    return cfgs
+
+
+class TestIntegratorCore:
+    @pytest.mark.parametrize("cfg", core_configs(), ids=lambda c: (
+        f"n{c.n}-s{c.record_stride}-{'mf' if c.topology is None else c.topology.edge_count}"
+        f"-w{c.omega0:g}-{'sat' if c.saturate else 'free'}"))
+    def test_simulate_equals_the_serial_loop(self, cfg):
+        """Mean-field at n = 2..8, ring and explicit-edge graphs, omega0 != 0,
+        saturation and strides 1, 3 and 10."""
+        traj, report = simulate(cfg)
+        assert report.synchronized
+        assert_matches_reference(cfg, traj, report)
+
+    def test_never_synchronizing_run(self):
+        cfg = make_config(theta0=np.array([0.0, np.pi]), t_max=5.0, omega0=0.25)
+        traj, report = simulate(cfg)
+        assert report.t_sync is None
+        assert_matches_reference(cfg, traj, report)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_windows_on_block_boundaries(self, monkeypatch, offset):
+        """Blocks sized so the window opens on the last step of a block, on
+        the first, on the second and on the third; and a horizon that ends the
+        run on the step where the window has been held for exactly
+        SYNC_HOLD, with no step left after it."""
+        cfg = SimulationConfig(n=3, theta0=np.array([0.2, 0.5, 0.9]),
+                               gains=GainVector([-1.0, -2.0, -1.5]), t_max=20.0, record_stride=4)
+        ref = reference_run(cfg)
+        opens = round(ref[4] / cfg.dt)  # the step the window opens on
+        state_bytes = 3 * cfg.n * 8
+        monkeypatch.setattr(dynamics, "OBSERVER_BLOCK_BYTES", (opens - offset) * state_bytes)
+        traj, report = simulate(cfg)
+        assert report.t_sync == ref[4]
+        assert_matches_reference(cfg, traj, report, ref)
+
+        held = dataclasses.replace(cfg, t_max=ref[4] + SYNC_HOLD + 0.5 * cfg.dt)
+        ref = reference_run(held)
+        assert ref[2] == ref[4]  # the window is held exactly at the last step
+        assert_matches_reference(held, *simulate(held), ref)
+        short = dataclasses.replace(cfg, t_max=ref[4] + SYNC_HOLD - 1.5 * cfg.dt)
+        ref = reference_run(short)
+        assert ref[2] is None  # one step short: still open, not held
+        assert_matches_reference(short, *simulate(short), ref)
+
+    @pytest.mark.parametrize("topology", [None, ring_graph(5)], ids=["mean-field", "ring"])
+    def test_blocks_shorter_than_the_stride(self, monkeypatch, topology):
+        """Two-step blocks, as at large n, with a stride of five: most blocks
+        hold no recorded sample."""
+        cfg = SimulationConfig(n=5, theta0=np.array([0.1, 0.4, -0.3, 0.9, 0.6]),
+                               gains=GainVector(-np.ones(5)), topology=topology,
+                               t_max=15.0, record_stride=5)
+        monkeypatch.setattr(dynamics, "OBSERVER_BLOCK_BYTES", 1)
+        traj, report = simulate(cfg)
+        assert report.synchronized
+        assert_matches_reference(cfg, traj, report)
+
+    def test_block_observer_equals_the_per_step_observer(self):
+        """Windows that open and close on every position within a block, for
+        several runs at once and block sizes from one step up."""
+        rng = np.random.default_rng(7)
+        dt = 0.1  # SYNC_HOLD spans eleven steps: t - start >= 1 from the 11th on
+        runs = []
+        for longest, tail in ((10, 8), (12, 0), (10, 11), (11, 0), (10, 0)):
+            below = []
+            while len(below) < 300:  # alternating windows and gaps of 1 to 3 steps
+                below += [True] * int(rng.choice([1, 2, 9, 10, longest]))
+                below += [False] * int(rng.integers(1, 4))
+            runs.append(below + [True] * tail)
+        steps = min(len(r) for r in runs)
+        below = np.array([r[len(r) - steps:] for r in runs]).T  # (steps, runs), tails kept
+        runs = below.shape[1]
+        theta = np.where(below[..., None], 0.0, 1e-3) * np.array([0.0, 1.0, -0.5])
+        theta = theta + rng.uniform(-3.0, 3.0, runs)[:, None]
+        t = np.arange(steps) * dt
+
+        expected_sync = np.full(runs, np.nan)
+        expected_open = np.full(runs, np.nan)
+        for r in range(runs):
+            since = None
+            for j in range(steps):
+                if not np.isnan(expected_sync[r]):
+                    break
+                d = wrap_angle(theta[j, r] - theta[j, r, 0])
+                if float(d.max() - d.min()) < SYNC_TOL:
+                    since = t[j] if since is None else since
+                    if t[j] - since >= SYNC_HOLD:
+                        expected_sync[r] = since
+                else:
+                    since = None
+            expected_open[r] = np.nan if since is None else since
+        # never held, held inside, held on the last step, held inside, never held
+        assert list(np.isnan(expected_sync)) == [True, False, False, False, True]
+        assert expected_sync[2] == t[-11] and not np.isnan(expected_open[0])
+
+        unsynced = np.isnan(expected_sync)
+        for size in (1, 2, 3, 7, 9, 10, 11, 64, steps):
+            below_since, t_sync = np.full(runs, np.nan), np.full(runs, np.nan)
+            for lo in range(0, steps, size):
+                dynamics._sync_block(theta[lo:lo + size], t[lo:lo + size], below_since, t_sync)
+            assert same_bits(t_sync, expected_sync), size
+            assert same_bits(below_since[unsynced], expected_open[unsynced]), size
+            for r in range(runs):  # one run alone: blocks with no step below are common
+                below_since, t_sync = np.full(1, np.nan), np.full(1, np.nan)
+                for lo in range(0, steps, size):
+                    dynamics._sync_block(theta[lo:lo + size, r:r + 1], t[lo:lo + size],
+                                         below_since, t_sync)
+                assert same_bits(t_sync, expected_sync[r:r + 1]), (size, r)
+
+    def test_simulate_batch_rows_equal_simulate(self):
+        """Mixed n, graphs, omega0, saturation, jitter and strides in one
+        call, each config with a sibling that differs in theta0, gains,
+        positions0 and omega0: every row bit-equal to its own simulate(), in
+        input order."""
+        rng = np.random.default_rng(8)
+        cfgs = [dataclasses.replace(cfg, t_max=5.0) for cfg in core_configs()]
+        cfgs += [dataclasses.replace(cfg, theta0=rng.uniform(-1.0, 1.0, cfg.n),
+                                     gains=GainVector(-rng.uniform(0.5, 2.0, cfg.n)),
+                                     positions0=rng.uniform(-3.0, 3.0, (cfg.n, 2)),
+                                     omega0=float(rng.uniform(-0.5, 0.5)))
+                 for cfg in cfgs]
+        cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]
+        cfgs.append(make_config(theta0=np.array([0.0, np.pi]), t_max=5.0))
+        # one batch whose runs synchronize at different times
+        cfgs += [make_config(n=4, theta0=rng.uniform(-spread, spread, 4),
+                             gains=GainVector(-np.ones(4)), t_max=15.0, record_stride=5)
+                 for spread in (0.1, 0.6, 1.2)]
+        results = simulate_batch(cfgs)
+        assert len(results) == len(cfgs)
+        assert len({report.t_sync for _, report in results[-3:]} - {None}) == 3
+        for cfg, result in zip(cfgs, results):
+            assert_same_run(result, simulate(cfg))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_simulate_batch_raises_for_the_first_diverging_config(self):
+        """Gains near the float limit overflow the state; the error is the one
+        simulate raises for the first such config in input order, though a
+        later one in another batch diverges sooner."""
+        ok = make_config(t_max=3.0)
+        soon = make_config(gains=GainVector([-1e308, -1e308]), t_max=3.0)
+        late = dataclasses.replace(soon, record_stride=50)  # seen at its first record
+        errors = []
+        for cfg in (late, soon):
+            with pytest.raises(DivergenceError) as exc:
+                simulate(cfg)
+            errors.append(str(exc.value))
+        assert errors[0] != errors[1]
+        with pytest.raises(DivergenceError) as exc:
+            simulate_batch([ok, late, soon, ok])
+        assert str(exc.value) == errors[0]
+
+    def test_simulate_batch_checks_every_budget_first(self):
+        with pytest.raises(ValueError, match="step budget"):
+            simulate_batch([make_config(), make_config(t_max=2e6, record_stride=10**6)])
+
+
+class TestKernelTie:
+    """The neighbour law on complete_graph(n) with gains K/n is the mean-field
+    law with gains K: a tie between the two kernel branches."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 120])
+    def test_complete_graph_run_equals_mean_field_run(self, n):
+        rng = np.random.default_rng(n)
+        theta0 = rng.uniform(-1.0, 1.0, n)
+        gains = -(10.0 ** rng.uniform(-0.3, 0.4, n))
+        base = dict(n=n, theta0=theta0, t_max=30.0, record_stride=10)
+        mf_traj, mf = simulate(SimulationConfig(**base, gains=GainVector(gains)))
+        g_traj, g = simulate(SimulationConfig(**base, gains=GainVector(gains / n),
+                                              topology=complete_graph(n)))
+        np.testing.assert_allclose(g_traj.theta, mf_traj.theta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_traj.controls, mf_traj.controls, rtol=0, atol=1e-12)
+        assert mf.synchronized and g.t_sync == mf.t_sync
+        assert abs(wrap_angle(g.final_heading_common - mf.final_heading_common)) < 1e-12

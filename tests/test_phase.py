@@ -238,6 +238,20 @@ class TestEdgeKernel:
                     dense_potential(z[s], lap), abs=ALGEBRA_TOL
                 )
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 150])
+    def test_complete_graph_ties_to_mean_field(self, n):
+        """The neighbour kernel on complete_graph(n) is n times the mean-field
+        kernel, in 1-D calls and in batch rows; the mean-field batch rows equal
+        its 1-D calls bit for bit."""
+        z = np.exp(1j * RNG.uniform(-4.0, 4.0, (5, n)))
+        edges = edge_arrays(complete_graph(n))
+        mean_field = _grad(z, None)
+        np.testing.assert_allclose(_grad(z, edges) / n, mean_field, rtol=0, atol=ALGEBRA_TOL)
+        for s in range(z.shape[0]):
+            row = _grad(z[s], None)
+            assert np.array_equal(row, mean_field[s])
+            np.testing.assert_allclose(_grad(z[s], edges) / n, row, rtol=0, atol=ALGEBRA_TOL)
+
     @pytest.mark.parametrize("lap", [
         [[1.0, -1.0], [-1.0, 2.0]],                       # diagonal is not the degree
         [[2.0, -2.0], [-2.0, 2.0]],                       # weighted edge

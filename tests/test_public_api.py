@@ -44,6 +44,7 @@ PUBLIC_NAMES = {
     "TrajectoryRecord",
     "rotating_frame",
     "simulate",
+    "simulate_batch",
     "step",
     # phase
     "OrderParameter",
@@ -67,7 +68,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 53
     assert len(swarmsync.__all__) == len(set(swarmsync.__all__))
     assert set(swarmsync.__all__) == PUBLIC_NAMES
     for name in swarmsync.__all__:

@@ -11,6 +11,7 @@ from swarmsync import (
     laplacian_spectrum,
     ring_graph,
 )
+from swarmsync.topology import edge_arrays
 
 RNG = np.random.default_rng(202)
 
@@ -34,6 +35,17 @@ class TestConstruction:
         g = ring_graph(n)
         assert g.edge_count == n
         assert all(len(g.neighbors(k)) == 2 for k in range(n))
+
+    def test_edge_arrays_cached_and_read_only(self):
+        """The arrays are built once per graph and shared, so a caller that
+        wrote to them would corrupt every later run on the graph: writes raise."""
+        g = ring_graph(5)
+        src, dst = edge_arrays(g)
+        assert all(a is b for a, b in zip(edge_arrays(g), (src, dst)))
+        for arr in (src, dst):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
+        assert list(zip(src.tolist(), dst.tolist()))[:3] == [(0, 1), (0, 4), (1, 0)]
 
     def test_ring3_equals_complete3(self):
         assert ring_graph(3).edges == complete_graph(3).edges
