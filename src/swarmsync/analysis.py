@@ -145,14 +145,25 @@ class ReachabilityReport:
         }
 
 
+def _finite_target(target) -> None:
+    if not np.isfinite(target):
+        raise ValueError(f"target must be a finite angle, got {float(target)!r}")
+
+
 def is_reachable(theta0, target: float) -> ReachabilityReport:
     """Strict-interior reachability test for all-negative gains.
 
     The open interval between the extreme rays is reachable; the rays
     themselves are not. For two agents the report also notes the extended
-    regime (any direction, via mixed-sign gains with negative sum).
+    regime (any direction, via mixed-sign gains with negative sum). A
+    non-finite target raises ValueError.
     """
-    frame = _require_acute(rotated_frame(theta0))
+    _finite_target(target)
+    return _reachability(_require_acute(rotated_frame(theta0)), target)
+
+
+def _reachability(frame: RotatedFrame, target: float) -> ReachabilityReport:
+    """is_reachable on a frame already computed and checked acute."""
     t_hat = float(np.mod(target - frame.theta_R, TWO_PI))
     reachable = bool(0.0 < t_hat < frame.span)
     extended: bool | None = None
@@ -184,16 +195,17 @@ def synthesize_gains(theta0, target: float, c: float = -1.0) -> GainVector:
     the weighted average exactly on it. Every alpha_k stays strictly
     positive, so any c < 0 yields strictly negative gains with
     sum_k 1/K_k = 1/c. The gains are not unique; rescaling c moves them all.
+    A non-finite target raises ValueError.
     """
     if not c < 0.0:
         raise ValueError("c must be negative")
-    report = is_reachable(theta0, target)
-    if not report.reachable_negative_gains:
+    _finite_target(target)
+    frame = _require_acute(rotated_frame(theta0))
+    if not _reachability(frame, target).reachable_negative_gains:
         raise ValueError(
             f"target {np.degrees(wrap_angle(target)):.4f} deg is not reachable "
             "with all-negative gains (must be strictly inside the initial arc)"
         )
-    frame = rotated_frame(theta0)
     hat = frame.theta_hat0
     n = hat.size
     t_hat = float(np.mod(target - frame.theta_R, TWO_PI))
@@ -313,11 +325,12 @@ def two_agent_gains(theta0, target: float) -> GainVector:
     Interior targets use two negative gains; targets at or beyond the arc
     ends use one positive and one negative gain. The two rotated-frame
     boundary directions themselves would require a zero gain, which is
-    excluded, so they raise.
+    excluded, so they raise, and so does a non-finite target.
     """
     th = as_heading_vector(theta0)
     if th.size != 2:
         raise ValueError("two_agent_gains needs exactly 2 headings")
+    _finite_target(target)
     frame = _require_acute(rotated_frame(th))
     span = frame.span
     t_hat = float(wrap_angle(target - frame.theta_R))
@@ -347,6 +360,15 @@ def two_agent_gains(theta0, target: float) -> GainVector:
     return GainVector(k)
 
 
+def _hessian_entries(z: np.ndarray, p: complex, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries H[rows, cols] of critical_point_hessian for the unit heading
+    vectors z and their mean p; rows and cols are index arrays that
+    broadcast together, and only the broadcast shape is allocated."""
+    n = z.size
+    off = np.real(z[rows] * np.conj(z[cols])) / n
+    return np.where(rows == cols, 1.0 / n - np.real(np.conj(p) * z[rows]), off)
+
+
 def critical_point_hessian(theta) -> np.ndarray:
     """Second-derivative matrix used to classify alignment critical points.
 
@@ -356,14 +378,21 @@ def critical_point_hessian(theta) -> np.ndarray:
     indefiniteness-based classification. At a configuration with M agents
     opposite the mean phase it equals (1/N) w w^T + |p| diag(w) for the
     block sign vector w.
+
+    This builds the full N x N matrix, O(N^2) in time and memory;
+    classify_critical_point needs only a 2 x 2 block of it and stays O(N).
     """
     th = as_heading_vector(theta)
-    n = th.size
     z = np.exp(1j * th)
-    p = z.mean()
-    h = np.real(np.outer(z, np.conj(z))) / n
-    np.fill_diagonal(h, 1.0 / n - np.real(np.conj(p) * z))
-    return h
+    idx = np.arange(th.size)
+    return _hessian_entries(z, z.mean(), idx[:, None], idx)
+
+
+def _saddle_witness(z: np.ndarray, p: complex, pair: np.ndarray) -> float:
+    """q^T H q for the q with -1 at pair[0] and +1 at pair[1], that is
+    H[a,a] + H[b,b] - 2 H[a,b], from the 2 x 2 block of H alone."""
+    q = np.array([-1.0, 1.0])
+    return float(q @ _hessian_entries(z, p, pair[:, None], pair) @ q)
 
 
 class CriticalKind(str, enum.Enum):
@@ -400,6 +429,11 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     zero agents opposite means the synchronized minimum, otherwise a saddle
     whose indefiniteness is confirmed by a two-agent witness vector q with
     q^T H q = -2|p| < 0.
+
+    q is supported on two aligned agents a and b, so only the 2 x 2 block of
+    critical_point_hessian at rows and columns a, b is evaluated: the
+    witness is H[a,a] + H[b,b] - 2 H[a,b]. The classification is O(N) in
+    time and memory; no N x N matrix is built.
     """
     th = as_heading_vector(theta)
     g = alignment_potential_grad(th)
@@ -418,10 +452,7 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     aligned = np.flatnonzero(~opposed)
     if aligned.size < 2:
         raise ValueError("inconsistent critical configuration: majority block too small")
-    q = np.zeros(th.size)
-    q[aligned[0]] = -1.0
-    q[aligned[1]] = 1.0
-    witness = float(q @ critical_point_hessian(th) @ q)
+    witness = _saddle_witness(np.exp(1j * th), op.as_complex, aligned[:2])
     if witness >= 0.0:
         raise ValueError("saddle witness failed; configuration is not a clean saddle")
     return CriticalPointConfig(m, op.magnitude, CriticalKind.SADDLE)

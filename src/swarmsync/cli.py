@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,9 @@ DEFAULT_OUT = "out"
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # allow_nan=False: a NaN or infinity becomes a ValueError (the error JSON), never
+    # the NaN/Infinity tokens, which are not JSON
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -73,7 +76,7 @@ def run_synthesize(args) -> int:
     cfg_path.write_text(json.dumps(dump_config(synth_cfg), indent=2, sort_keys=True))
     _emit(
         {
-            "gains": [float(v) for v in gains.gains],
+            "gains": gains.gains.tolist(),
             "theta_c": theta_c,
             "theta_c_deg": float(np.degrees(theta_c)),
             "config": str(cfg_path),
@@ -104,7 +107,11 @@ def run_scenario_cmd(args) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused: parsing
+    leaves no state in it. Not built at import, which would lengthen every
+    import of the package."""
     parser = argparse.ArgumentParser(prog="swarmsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

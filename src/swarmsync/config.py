@@ -204,9 +204,9 @@ def dump_config(cfg: SimulationConfig) -> dict:
         topology = {"edges": [list(e) for e in cfg.topology.edges]}
     return {
         "n": cfg.n,
-        "theta0_deg": [float(v) for v in np.degrees(cfg.theta0)],
-        "gains": [float(v) for v in cfg.gains.gains],
-        "positions0": [[float(x), float(y)] for x, y in cfg.positions0],
+        "theta0_deg": np.degrees(cfg.theta0).tolist(),
+        "gains": cfg.gains.gains.tolist(),
+        "positions0": cfg.positions0.tolist(),
         "omega0": cfg.omega0,
         "topology": topology,
         "dt": cfg.dt,

@@ -344,22 +344,25 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray
     t_bad = np.full(runs, np.nan)
 
     block[0] = y0
-    for start in range(0, n_steps + 1, slots):
-        size = min(slots, n_steps + 1 - start)
-        for i in range(1 if start == 0 else 0, size):
-            step(block[i - 1], block[i])
-        t = np.arange(start, start + size) * dt
-        if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
-            _sync_block(block[:size, ..., 0, :].reshape(size, runs, -1), t, below_since, t_sync)
-        first = -(-start // stride) * stride
-        recorded = block[first - start:size:stride]
-        states[first // stride:first // stride + len(recorded)] = recorded
-        finite = np.isfinite(recorded).all(axis=(-2, -1)).reshape(len(recorded), runs)
-        if not finite.all():
-            bad = ~finite.all(axis=0) & np.isnan(t_bad)
-            t_bad[bad] = t[first - start::stride][finite[:, bad].argmin(axis=0)]
-            if not np.isnan(t_bad).any():
-                break
+    # a diverging run overflows; the finite checks below report it as t_bad,
+    # so numpy's overflow/invalid warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps + 1, slots):
+            size = min(slots, n_steps + 1 - start)
+            for i in range(1 if start == 0 else 0, size):
+                step(block[i - 1], block[i])
+            t = np.arange(start, start + size) * dt
+            if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
+                _sync_block(block[:size, ..., 0, :].reshape(size, runs, -1), t, below_since, t_sync)
+            first = -(-start // stride) * stride
+            recorded = block[first - start:size:stride]
+            states[first // stride:first // stride + len(recorded)] = recorded
+            finite = np.isfinite(recorded).all(axis=(-2, -1)).reshape(len(recorded), runs)
+            if not finite.all():
+                bad = ~finite.all(axis=0) & np.isnan(t_bad)
+                t_bad[bad] = t[first - start::stride][finite[:, bad].argmin(axis=0)]
+                if not np.isnan(t_bad).any():
+                    break
     final = block[size - 1]
     if start + size == n_steps + 1:
         bad = ~np.isfinite(final).all(axis=(-2, -1)).reshape(runs) & np.isnan(t_bad)

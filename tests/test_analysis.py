@@ -1,11 +1,14 @@
 """Rotated frames, direction prediction, reachability, synthesis, perturbation
 bounds, the two-agent extension, and critical-point machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from swarmsync import (
     CriticalKind,
+    CriticalPointConfig,
     GainVector,
     NonAcuteConeError,
     SimulationConfig,
@@ -28,6 +31,8 @@ from swarmsync import (
     two_agent_gains,
     wrap_angle,
 )
+from swarmsync.analysis import _hessian_entries, _saddle_witness
+from swarmsync.phase import alignment_potential_grad, order_parameter
 
 RNG = np.random.default_rng(505)
 
@@ -361,6 +366,17 @@ class TestTwoAgentGains:
                 two_agent_gains(theta0, np.deg2rad(target_deg))
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda target: is_reachable(np.deg2rad([-60.0, -30.0, 60.0]), target),
+    lambda target: synthesize_gains(np.deg2rad([-60.0, -30.0, 60.0]), target),
+    lambda target: two_agent_gains(np.deg2rad([-60.0, 60.0]), target),
+], ids=["is_reachable", "synthesize_gains", "two_agent_gains"])
+def test_non_finite_target_is_named(call, target):
+    with pytest.raises(ValueError, match="target must be a finite angle"):
+        call(target)
+
+
 class TestCriticalHessian:
     def fd_hessian(self, theta, h=1e-4):
         n = theta.size
@@ -448,6 +464,101 @@ class TestClassifyCriticalPoint:
     def test_rejects_non_critical(self):
         with pytest.raises(ValueError, match="not critical"):
             classify_critical_point(np.array([0.0, 1.0]))
+
+
+def full_hessian(theta):
+    """critical_point_hessian as it was written before it shared its entry
+    formula with the witness: the full N x N matrix."""
+    z = np.exp(1j * theta)
+    h = np.real(np.outer(z, np.conj(z))) / z.size
+    np.fill_diagonal(h, 1.0 / z.size - np.real(np.conj(z.mean()) * z))
+    return h
+
+
+def classify_with_full_hessian(theta, grad_tol=1e-8):
+    """classify_critical_point as it was when it built the full N x N
+    Hessian for its two-entry witness; the reference the O(N) version must
+    equal. Returns the classification and the witness (None when no witness
+    is evaluated)."""
+    th = np.asarray(theta, dtype=float)
+    if np.max(np.abs(alignment_potential_grad(th))) > grad_tol:
+        raise ValueError("configuration is not critical")
+    op = order_parameter(th)
+    if op.magnitude < 1e-8:
+        return CriticalPointConfig(None, op.magnitude, CriticalKind.BALANCED_MAXIMUM), None
+    opposed = np.abs(wrap_angle(th - op.mean_phase)) > 0.5 * np.pi
+    m = int(np.count_nonzero(opposed))
+    if m == 0:
+        return CriticalPointConfig(0, op.magnitude, CriticalKind.SYNC_MINIMUM), None
+    aligned = np.flatnonzero(~opposed)
+    q = np.zeros(th.size)
+    q[aligned[0]] = -1.0
+    q[aligned[1]] = 1.0
+    witness = float(q @ full_hessian(th) @ q)
+    if witness >= 0.0:
+        raise ValueError("saddle witness failed")
+    return CriticalPointConfig(m, op.magnitude, CriticalKind.SADDLE), witness
+
+
+def critical_configuration(rng, n, m):
+    """m of n headings opposite the other n - m, rotated by a random phase
+    and shuffled over the indices."""
+    psi = rng.uniform(-np.pi, np.pi)
+    theta = wrap_angle(np.where(np.arange(n) < m, psi + np.pi, psi))
+    return rng.permutation(theta)
+
+
+class TestTwoEntryWitness:
+    """classify_critical_point evaluates only the 2 x 2 Hessian block of the
+    two aligned agents its witness is supported on."""
+
+    def test_matches_the_full_hessian_reference(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(300):
+            n = int(np.exp(rng.uniform(np.log(3), np.log(500))))
+            m = int(rng.integers(0, (n - 1) // 2 + 1))  # 0 gives a sync minimum
+            theta = critical_configuration(rng, n, m)
+            expected, witness = classify_with_full_hessian(theta)
+            assert classify_critical_point(theta) == expected, (n, m)
+            if witness is None:
+                continue
+            op = order_parameter(theta)
+            opposed = np.abs(wrap_angle(theta - op.mean_phase)) > 0.5 * np.pi
+            pair = np.flatnonzero(~opposed)[:2]
+            two_entry = _saddle_witness(np.exp(1j * theta), op.as_complex, pair)
+            assert two_entry == pytest.approx(witness, abs=1e-12), (n, m)
+            assert two_entry == pytest.approx(-2.0 * (n - 2 * m) / n, abs=1e-12)
+            checked += 1
+        assert checked > 200
+
+    def test_entries_are_those_of_the_full_matrix(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 9, 40):
+            theta = rng.uniform(-np.pi, np.pi, n)
+            z = np.exp(1j * theta)
+            full = full_hessian(theta)
+            assert np.array_equal(critical_point_hessian(theta), full)
+            rows = rng.integers(0, n, 5)
+            cols = rng.integers(0, n, 5)
+            block = _hessian_entries(z, z.mean(), rows[:, None], cols)
+            assert np.array_equal(block, full[np.ix_(rows, cols)])
+
+    def test_large_saddle_in_linear_memory(self):
+        """An n=20,000 saddle: the full Hessian would take 9.6 GB while it is
+        built (complex outer product plus its real part)."""
+        n, m = 20_000, 7_000
+        theta = critical_configuration(np.random.default_rng(3), n, m)
+        tracemalloc.start()
+        try:
+            out = classify_critical_point(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert out.kind is CriticalKind.SADDLE
+        assert out.antipodal_count == m
+        assert out.p_mag == pytest.approx((n - 2 * m) / n, abs=1e-12)
 
 
 class TestConicHull:

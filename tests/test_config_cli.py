@@ -1,9 +1,11 @@
 """Config ingestion, CLI subcommands, exit codes, and scenario execution."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from swarmsync import (
     parse_config,
     run_scenario,
 )
+from swarmsync import cli, synthesize_gains
 from swarmsync.cli import main
 from swarmsync.dynamics import STEP_BUDGET, _step_counts
 
@@ -33,6 +36,27 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def run_fresh(args):
+    """``python <args>`` in a new interpreter that imports the package from
+    where this process found it."""
+    src = str(Path(swarmsync.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN/Infinity tokens json.dumps would
+    write by default; they are not JSON."""
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token} in output")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -341,3 +365,135 @@ class TestRejectedInputs:
         cfg = parse_config({**BASE_DOC, "n": 2.0, "record_stride": 3.0})
         assert cfg.n == 2 and isinstance(cfg.n, int)
         assert cfg.record_stride == 3
+
+
+def old_dump_config(cfg):
+    """dump_config as it was, converting one element at a time with float();
+    dump_config must give the same JSON bytes."""
+    topology = "complete" if cfg.topology is None else {
+        "edges": [list(e) for e in cfg.topology.edges]}
+    return {
+        "n": cfg.n,
+        "theta0_deg": [float(v) for v in np.degrees(cfg.theta0)],
+        "gains": [float(v) for v in cfg.gains.gains],
+        "positions0": [[float(x), float(y)] for x, y in cfg.positions0],
+        "omega0": cfg.omega0,
+        "topology": topology,
+        "dt": cfg.dt,
+        "t_max": cfg.t_max,
+        "u_max": cfg.u_max,
+        "saturate": cfg.saturate,
+        "record_stride": cfg.record_stride,
+        "seed": cfg.seed,
+        "jitter": cfg.jitter,
+    }
+
+
+class TestClosedFormCommands:
+    SYNTH_DOC = {
+        "n": 4,
+        "theta0_deg": [-50.0, -12.5, 0.1, 33.3],
+        "gains": [-1.0, -0.5, -2.0, -1.5],
+        "positions0": [[0.0, 1.0], [-2.5, 0.1], [3.0, -0.3], [1e-3, 7.0]],
+        "omega0": 0.25,
+        "topology": "ring",
+        "t_max": 12.0,
+        "u_max": 2.0,
+        "saturate": True,
+        "record_stride": 2,
+        "seed": 5,
+    }
+
+    def test_synthesized_config_bytes(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, self.SYNTH_DOC)
+        code = main(["synthesize", "--config", str(cfg_path), "--target-deg", "-3.7",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        gains = strict_json(capsys.readouterr().out)["gains"]
+        cfg = load_config(cfg_path)
+        synth = dataclasses.replace(
+            cfg, gains=synthesize_gains(cfg.theta0, np.deg2rad(-3.7)))
+        assert synth.gains.gains.tolist() == gains
+        expected = json.dumps(old_dump_config(synth), indent=2, sort_keys=True)
+        assert (tmp_path / "config_synthesized.json").read_text() == expected
+
+    def test_dump_config_equals_the_per_element_form(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 17, 300):
+            cfg = parse_config({
+                "n": n,
+                "theta0_deg": rng.uniform(-179.0, 179.0, n).tolist(),
+                "gains": (-(10.0 ** rng.uniform(-3, 3, n))).tolist(),
+                "positions0": rng.normal(0.0, 1e3, (n, 2)).tolist(),
+            })
+            assert json.dumps(dump_config(cfg), indent=2, sort_keys=True) == json.dumps(
+                old_dump_config(cfg), indent=2, sort_keys=True)
+
+    def test_calls_in_one_process_equal_fresh_processes(self, tmp_path, capsys):
+        """The parser is built once and reused; no call leaves state in it
+        that a later call sees (an override, a default, an error)."""
+        doc = {**BASE_DOC, "n": 3, "theta0_deg": [-40.0, 5.0, 30.0],
+               "gains": [-1.0, -2.0, -0.5], "t_max": 3.0}
+        cfg = str(write_config(tmp_path, doc))
+        out = str(tmp_path / "out")
+        calls = [
+            ["simulate", "--config", cfg, "--out", out, "--dt", "0.02"],
+            ["predict", "--config", cfg],
+            ["synthesize", "--config", cfg, "--target-deg", "-10", "--c=-2.5", "--out", out],
+            ["reachable", "--config", cfg, "--target-deg", "20"],
+            ["simulate", "--config", cfg, "--out", out],
+            ["synthesize", "--config", cfg, "--target-deg", "-10", "--out", out],
+            ["reachable", "--config", cfg, "--target-deg", "nan"],
+            ["predict", "--config", cfg, "--t-max", "0.5"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        for argv, (code, stdout) in zip(calls, in_process):
+            fresh = run_fresh(["-m", "swarmsync.cli", *argv])
+            assert (fresh.returncode, fresh.stdout) == (code, stdout), argv
+        assert [code for code, _ in in_process] == [2, 0, 0, 0, 2, 0, 1, 0]
+        assert strict_json(in_process[2][1])["gains"] != strict_json(in_process[5][1])["gains"]
+
+    def test_parser_built_once_and_not_at_import(self):
+        assert cli._build_parser() is cli._build_parser()
+        probe = run_fresh(
+            ["-c", "import swarmsync.cli as c; print(c._build_parser.cache_info().currsize)"])
+        assert probe.stdout == "0\n"
+
+    @pytest.mark.parametrize("command", ["reachable", "synthesize"])
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target(self, tmp_path, capsys, command, target):
+        """Once printed "target": NaN (not JSON) and exited 0, and printed
+        numpy warnings on stderr for an infinite target."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": [-40.0, 5.0, 30.0],
+                                      "gains": "set1"})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), f"--target-deg={target}",
+                         "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        err = strict_json(captured.out)["error"]
+        assert err["type"] == "ValueError" and "target" in err["message"]
+        assert captured.err == ""
+        assert not out_dir.exists()
+
+    def test_nan_result_becomes_the_error_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.analysis, "predict_direction", lambda theta0, gains: float("nan"))
+        cfg = write_config(tmp_path, BASE_DOC)
+        assert main(["predict", "--config", str(cfg)]) == 1
+        assert strict_json(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+    def test_diverging_simulate_prints_no_warnings(self, tmp_path):
+        """Gains near the float limit overflow the state: the error JSON and
+        exit 1, with nothing on stderr (numpy's overflow/invalid warnings
+        were printed before)."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "gains": [-1e308, -1e308], "t_max": 3.0})
+        proc = run_fresh(["-m", "swarmsync.cli", "simulate", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert strict_json(proc.stdout)["error"]["type"] == "DivergenceError"
+        assert proc.stderr == ""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -776,6 +777,17 @@ class TestIntegratorCore:
         with pytest.raises(DivergenceError) as exc:
             simulate_batch([ok, late, soon, ok])
         assert str(exc.value) == errors[0]
+
+    def test_diverging_run_warns_nothing(self):
+        """The finite checks report an overflowing run as DivergenceError;
+        numpy's overflow/invalid RuntimeWarnings stay silent."""
+        cfg = make_config(gains=GainVector([-1e308, -1e308]), t_max=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite state"):
+                simulate(cfg)
+            with pytest.raises(DivergenceError, match="non-finite state"):
+                simulate_batch([make_config(t_max=3.0), cfg])
 
     def test_simulate_batch_checks_every_budget_first(self):
         with pytest.raises(ValueError, match="step budget"):
