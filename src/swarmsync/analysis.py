@@ -102,7 +102,11 @@ def _rotated_prediction(theta_hat0: np.ndarray, k: np.ndarray) -> float:
 
 def predict_direction(theta0, gains) -> float:
     """Synchronized direction for all-negative gains, wrapped to (-pi, pi]."""
-    frame = _require_acute(rotated_frame(theta0))
+    return _prediction(_require_acute(rotated_frame(theta0)), gains)
+
+
+def _prediction(frame: RotatedFrame, gains) -> float:
+    """predict_direction on a frame already computed and checked acute."""
     k = _require_all_negative(gains)
     if k.size != frame.theta_hat0.size:
         raise ValueError("gains length does not match headings")
@@ -197,6 +201,12 @@ def synthesize_gains(theta0, target: float, c: float = -1.0) -> GainVector:
     sum_k 1/K_k = 1/c. The gains are not unique; rescaling c moves them all.
     A non-finite target raises ValueError.
     """
+    return _synthesis(theta0, target, c)[0]
+
+
+def _synthesis(theta0, target: float, c: float) -> tuple[GainVector, RotatedFrame]:
+    """synthesize_gains and the acute frame it computed, which _prediction
+    takes to predict the direction of the new gains."""
     if not c < 0.0:
         raise ValueError("c must be negative")
     _finite_target(target)
@@ -233,7 +243,7 @@ def synthesize_gains(theta0, target: float, c: float = -1.0) -> GainVector:
         alpha[hi] += s * w_hi
     if np.any(alpha <= 0.0):
         raise RuntimeError("internal error: synthesized weights not strictly positive")
-    return GainVector(c / alpha)
+    return GainVector(c / alpha), frame
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,9 @@ def run_reachable(args) -> int:
 
 def run_synthesize(args) -> int:
     cfg = _load(args)
-    gains = analysis.synthesize_gains(cfg.theta0, np.deg2rad(args.target_deg), c=args.c)
-    theta_c = analysis.predict_direction(cfg.theta0, gains)
+    # one rotated frame serves both the synthesis and the prediction
+    gains, frame = analysis._synthesis(cfg.theta0, np.deg2rad(args.target_deg), args.c)
+    theta_c = analysis._prediction(frame, gains)
     out = _out_dir(args.out)
     synth_cfg = dataclasses.replace(cfg, gains=gains)
     cfg_path = out / "config_synthesized.json"

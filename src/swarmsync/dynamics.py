@@ -236,15 +236,28 @@ class ConvergenceReport:
 
 
 def _make_rhs(kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
-              u_max: float | None, shape: tuple[int, ...]):
-    """rhs(theta, u, xy): the derivative of the joint state [theta; x; y] of
-    shape (*batch, 3, n) at headings theta (*batch, n), written into its
-    heading rows u and position rows xy. kvec and omega0 broadcast against
-    theta."""
-    z = np.empty(shape[:-2] + shape[-1:], dtype=complex)
-    cos_sin = z.view(float).reshape(*z.shape, 2).swapaxes(-1, -2)  # (*batch, 2, n) view of z
+              u_max: float | None, runs: int, n: int):
+    """The right-hand side of R runs of n agents that share edges and u_max,
+    and the shape of their joint state; kvec and omega0 broadcast to (R, n).
+
+    rhs(theta, u, xy) writes the derivative of the joint state [theta; x; y]
+    at headings theta into its heading row u and position rows xy. The state
+    is heading-major, run r's agents at columns r*n..r*n+n-1 of each row, and
+    the rows are 1-D (R*n,) so that every ufunc runs over contiguous rows as
+    for one run: the neighbour law sums the disjoint union of the R graphs
+    with _grad's 1-D bincount, each node over its edges in the order of one
+    run. Only a mean-field batch (R > 1) shapes its rows (R, n), so each
+    run's mean is a row reduction; one mean-field run keeps the scalar mean.
+    """
+    heading = (runs, n) if edges is None and runs > 1 else (runs * n,)
+    if edges is not None:  # the disjoint union of the R graphs: run r's nodes offset by r*n
+        offsets = np.arange(0, runs * n, n)[:, None]
+        edges = tuple((e + offsets).ravel() for e in edges)
+    kvec, omega0 = (np.full((runs, n), a, dtype=float).reshape(heading) for a in (kvec, omega0))
+    z = np.empty(heading, dtype=complex)
+    cos_sin = z.view(float).reshape(*heading, 2).transpose(-1, *range(z.ndim))  # (2, *heading)
     # numpy scalars as 0-d arrays: the same floats, a faster ufunc call than Python numbers
-    i1, omega0 = np.array(1j), np.asarray(omega0, dtype=float)
+    i1 = np.array(1j)
 
     def rhs(theta: np.ndarray, u: np.ndarray, xy: np.ndarray) -> None:
         np.exp(np.multiply(i1, theta, out=z), out=z)
@@ -254,7 +267,7 @@ def _make_rhs(kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
             np.clip(u, -u_max, u_max, out=u)
         np.copyto(xy, cos_sin)
 
-    return rhs
+    return rhs, (3, *heading)
 
 
 def _rk4_step(rhs, dt: float, shape: tuple[int, ...]):
@@ -264,13 +277,12 @@ def _rk4_step(rhs, dt: float, shape: tuple[int, ...]):
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stage headings theta + (dt/2) k1,
     theta + (dt/2) k2 and theta + dt k3, so the result is the same floats."""
     k1, k2, k3, k4 = (np.empty(shape) for _ in range(4))
-    (u1, xy1), (u2, xy2), (u3, xy3), (u4, xy4) = ((k[..., 0, :], k[..., 1:, :])
-                                                  for k in (k1, k2, k3, k4))
+    (u1, xy1), (u2, xy2), (u3, xy3), (u4, xy4) = ((k[0], k[1:]) for k in (k1, k2, k3, k4))
     stage = np.empty(u1.shape)
     half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
 
     def step(y: np.ndarray, out: np.ndarray) -> None:
-        theta = y[..., 0, :]
+        theta = y[0]
         rhs(theta, u1, xy1)
         rhs(np.add(theta, np.multiply(half, u1, out=stage), out=stage), u2, xy2)
         rhs(np.add(theta, np.multiply(half, u2, out=stage), out=stage), u3, xy3)
@@ -322,28 +334,31 @@ OBSERVER_BLOCK_BYTES = 2**16
 def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
                u_max: float | None, dt: float, n_steps: int, stride: int):
     """Integrate R runs of the closed loop that share edges, u_max, dt, the
-    step count and the stride, from the joint states y0 of shape
-    (*batch, 3, n) (no batch axis for one run, so the coupling kernel takes
-    its 1-D path; R = 1 then).
+    step count and the stride, from the joint states y0 of shape (3, R, n)
+    (run r's state at [:, r]), with gains kvec and turn rates omega0 that
+    broadcast to (R, n).
 
-    Steps fill a block of states; each block goes through the sync observer
-    at once, and its states at multiples of ``stride`` steps are recorded
-    and checked finite. Returns the recorded states
-    (n_steps // stride + 1, *batch, 3, n), the final state, and per run (as
-    (R,) arrays) the sync time and the time of its first non-finite recorded
-    or final state, nan for none. Stops early once every run has diverged.
+    The runs are integrated as one heading-major state (see _make_rhs), so
+    a step of a few small runs costs about one step of one run, and one run
+    (R = 1) is the plain (3, n) state. Steps fill a block of states; each
+    block goes through the sync observer at once, and its states at
+    multiples of ``stride`` steps are recorded and checked finite. Returns
+    the recorded states (n_steps // stride + 1, 3, R, n) and the final state
+    (3, R, n), both views of the heading-major arrays, and per run as (R,)
+    arrays the sync time and the time of its first non-finite recorded or
+    final state, nan for none. Stops early once every run has diverged.
     """
-    shape = y0.shape
-    runs = int(np.prod(shape[:-2]))
+    _, runs, n = y0.shape
+    rhs, shape = _make_rhs(kvec, omega0, edges, u_max, runs, n)
+    step = _rk4_step(rhs, dt, shape)
     states = np.empty((n_steps // stride + 1, *shape))
     slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
     block = np.empty((slots, *shape))
-    step = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, shape), dt, shape)
     below_since = np.full(runs, np.nan)
     t_sync = np.full(runs, np.nan)
     t_bad = np.full(runs, np.nan)
 
-    block[0] = y0
+    block[0] = y0.reshape(shape)
     # a diverging run overflows; the finite checks below report it as t_bad,
     # so numpy's overflow/invalid warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,21 +368,21 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray
                 step(block[i - 1], block[i])
             t = np.arange(start, start + size) * dt
             if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
-                _sync_block(block[:size, ..., 0, :].reshape(size, runs, -1), t, below_since, t_sync)
+                _sync_block(block[:size, 0].reshape(size, runs, n), t, below_since, t_sync)
             first = -(-start // stride) * stride
             recorded = block[first - start:size:stride]
             states[first // stride:first // stride + len(recorded)] = recorded
-            finite = np.isfinite(recorded).all(axis=(-2, -1)).reshape(len(recorded), runs)
+            finite = np.isfinite(recorded).reshape(len(recorded), 3, runs, n).all(axis=(1, 3))
             if not finite.all():
                 bad = ~finite.all(axis=0) & np.isnan(t_bad)
                 t_bad[bad] = t[first - start::stride][finite[:, bad].argmin(axis=0)]
                 if not np.isnan(t_bad).any():
                     break
-    final = block[size - 1]
+    final = block[size - 1].reshape(3, runs, n)
     if start + size == n_steps + 1:
-        bad = ~np.isfinite(final).all(axis=(-2, -1)).reshape(runs) & np.isnan(t_bad)
+        bad = ~np.isfinite(final).all(axis=(0, 2)) & np.isnan(t_bad)
         t_bad[bad] = n_steps * dt
-    return states, final, t_sync, t_bad
+    return states.reshape(-1, 3, runs, n), final, t_sync, t_bad
 
 
 def _law(cfg: SimulationConfig):
@@ -393,17 +408,15 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
 
 
 def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
-    """Advance one dt with the classical 4th-order scheme."""
-    y0 = np.vstack((state.theta, np.transpose(state.positions)), dtype=float)
-    states, _, _, t_bad = _integrate(y0, *_law(cfg), cfg.dt, 1, 1)
-    if not np.isnan(t_bad[0]):
+    """Advance one dt with the classical 4th-order scheme: the first step
+    simulate() takes from this state, bit for bit."""
+    y = np.vstack((state.theta, np.transpose(state.positions)), dtype=float)
+    rhs, shape = _make_rhs(*_law(cfg), 1, cfg.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4_step(rhs, cfg.dt, shape)(y, y)
+    if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
-    y = states[1]
-    return SwarmState(
-        t=state.t + cfg.dt,
-        positions=np.column_stack((y[1], y[2])),
-        theta=y[0].copy(),
-    )
+    return SwarmState(t=state.t + cfg.dt, positions=y[1:].T.copy(), theta=y[0].copy())
 
 
 def _outcome(cfg: SimulationConfig, n_steps: int, states: np.ndarray, final: np.ndarray,
@@ -451,11 +464,11 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     of the first such window.
     """
     n_steps, _ = _step_counts(cfg)
-    states, final, t_sync, t_bad = _integrate(_start(cfg), *_law(cfg), cfg.dt, n_steps,
-                                              cfg.record_stride)
+    states, final, t_sync, t_bad = _integrate(_start(cfg)[:, None], *_law(cfg), cfg.dt,
+                                              n_steps, cfg.record_stride)
     if not np.isnan(t_bad[0]):
         raise DivergenceError(f"non-finite state at t={t_bad[0]:g}")
-    return _outcome(cfg, n_steps, states, final, t_sync[0])
+    return _outcome(cfg, n_steps, states[:, :, 0], final[:, 0], t_sync[0])
 
 
 def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
@@ -463,9 +476,10 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     simulate(cfg) bit for bit.
 
     Configs that share n, topology, dt, t_max, record_stride and the clip
-    limit (u_max when saturating) are integrated together as one batch, so
-    they share the per-step cost; they may differ in theta0, gains,
-    positions0, omega0, seed and jitter. Every config is checked against the
+    limit (u_max when saturating) are integrated together as one
+    heading-major batch (see _integrate), so they share the per-step cost;
+    a group of one costs what simulate() does. They may differ in theta0,
+    gains, positions0, omega0, seed and jitter. Every config is checked against the
     budgets before any run starts, and the first one rejected raises
     simulate's ValueError. When runs diverge, the DivergenceError simulate
     would raise for the first diverging config in input order is raised.
@@ -488,13 +502,14 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
         size = max(1, RECORD_BUDGET // (n_samples * lead.n))
         for chunk in (rows[lo:lo + size] for lo in range(0, len(rows), size)):
             states, final, t_sync, t_bad = _integrate(
-                np.stack([starts[i] for i in chunk]),
+                np.stack([starts[i] for i in chunk], axis=1),
                 np.stack([cfgs[i].gains.gains for i in chunk]),
                 np.array([[cfgs[i].omega0] for i in chunk]),
                 edges, u_max, lead.dt, n_steps, lead.record_stride)
             for b, i in enumerate(chunk):
                 if np.isnan(t_bad[b]):
-                    results[i] = _outcome(cfgs[i], n_steps, states[:, b], final[b], t_sync[b])
+                    results[i] = _outcome(cfgs[i], n_steps, states[:, :, b], final[:, b],
+                                          t_sync[b])
                 else:
                     diverged[i] = t_bad[b]
     if diverged:

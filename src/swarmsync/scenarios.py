@@ -2,7 +2,10 @@
 
 Each scenario bundles one or more closed-loop runs with the checks its
 outcome is expected to satisfy, and writes per-run trajectory/convergence
-files plus a scenario-level summary.
+files plus a scenario-level summary. A scenario's runs go through one
+simulate_batch call, so runs that share a kernel (n, graph, dt, t_max,
+stride and clip limit, such as the two mean-field and the two ring runs of
+sim1) are integrated together, each equal to its own simulate() bit for bit.
 
     sim1        six agents, heterogeneous negative gain sets, straight-line
                 motion, mean-field vs ring coupling
@@ -26,7 +29,10 @@ from .analysis import predict_direction
 from .angles import wrap_angle
 from .config import with_overrides
 from .control import GainVector, named_gain_set
-from .dynamics import SimulationConfig, simulate, write_run
+from .dynamics import SimulationConfig, simulate_batch, write_run
+# Not called here: the benchmark's trace table (perfbench/measure.py) resolves
+# scenarios.simulate by name.
+from .dynamics import simulate  # noqa: F401
 from .topology import ring_graph
 
 SIM1_THETA0_DEG = (-60.0, -45.0, -30.0, 30.0, 45.0, 60.0)
@@ -183,16 +189,18 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
     """Execute a built-in scenario; returns (exit_code, summary).
 
     Exit code 0 when every run synchronized and every check passed, 2
-    otherwise. Unknown names raise ValueError.
+    otherwise. Unknown names raise ValueError. Every run is integrated
+    before any file is written: a run that breaks a budget (ValueError) or
+    diverges (DivergenceError) raises with nothing written.
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
     base = Path(out_dir) / name
-    configs = {}
+    configs = {run_name: with_overrides(cfg, dt, t_max, seed)
+               for run_name, cfg in SCENARIOS[name]()}
     summary_runs = {}
-    for run_name, cfg in SCENARIOS[name]():
-        cfg = configs[run_name] = with_overrides(cfg, dt, t_max, seed)
-        traj, report = simulate(cfg)
+    for (run_name, cfg), (traj, report) in zip(configs.items(),
+                                               simulate_batch(configs.values())):
         write_run(base / run_name, traj, report)
         summary_runs[run_name] = _run_summary(cfg, traj, report)
     checks, observations = _scenario_checks(name, configs, summary_runs)

@@ -20,9 +20,10 @@ from swarmsync import (
     parse_config,
     run_scenario,
 )
-from swarmsync import cli, synthesize_gains
+from swarmsync import cli, dynamics, scenarios, synthesize_gains
 from swarmsync.cli import main
-from swarmsync.dynamics import STEP_BUDGET, _step_counts
+from swarmsync.config import with_overrides
+from swarmsync.dynamics import STEP_BUDGET, _step_counts, simulate, write_run
 
 BASE_DOC = {
     "n": 2,
@@ -263,6 +264,64 @@ class TestScenario:
         summary = json.loads(capsys.readouterr().out)
         assert all(summary["checks"].values())
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_files_equal_the_serial_loop(self, tmp_path, name):
+        """The batched scenario writes the bytes of the serial loop it
+        replaced: one simulate() and write_run() per run, then the summary."""
+        code, summary = run_scenario(name, tmp_path / "batched", t_max=3.0, seed=4)
+        ref = tmp_path / "serial" / name
+        configs, runs = {}, {}
+        for run_name, cfg in SCENARIOS[name]():
+            cfg = configs[run_name] = with_overrides(cfg, None, 3.0, 4)
+            traj, report = simulate(cfg)
+            write_run(ref / run_name, traj, report)
+            runs[run_name] = scenarios._run_summary(cfg, traj, report)
+        checks, observations = scenarios._scenario_checks(name, configs, runs)
+        expected = {"scenario": name, "runs": runs, "checks": checks,
+                    "observations": observations}
+        (ref / "summary.json").write_text(json.dumps(expected, indent=2, sort_keys=True))
+        assert summary == expected
+        assert code == (0 if all(checks.values()) else 2)
+        files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+        assert len(files) == 2 * len(configs) + 1
+        batched = tmp_path / "batched" / name
+        assert files == sorted(p.relative_to(batched) for p in batched.rglob("*") if p.is_file())
+        for rel in files:
+            assert (batched / rel).read_bytes() == (ref / rel).read_bytes(), rel
+
+    def test_sim1_integrates_in_two_calls(self, tmp_path, monkeypatch):
+        """The two mean-field runs share one kernel, and the two ring runs
+        another."""
+        calls = []
+        integrate = dynamics._integrate
+
+        def counted(y0, *args):
+            calls.append(y0.shape[1])
+            return integrate(y0, *args)
+
+        monkeypatch.setattr(dynamics, "_integrate", counted)
+        run_scenario("sim1", tmp_path, t_max=2.0)
+        assert calls == [2, 2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """Every run is integrated before any file is written, so a run that
+        diverges leaves no run files and no summary.json, though the run
+        before it is fine."""
+        build = SCENARIOS["sim2"]
+
+        def diverging():
+            (name, cfg), (other, bad) = build()
+            return [(name, cfg),
+                    (other, dataclasses.replace(bad, gains=swarmsync.GainVector([-1e308, -1e308])))]
+
+        monkeypatch.setitem(SCENARIOS, "sim2", diverging)
+        out = tmp_path / "out"
+        assert main(["scenario", "sim2", "--out", str(out), "--t-max", "5"]) == 1
+        err = strict_json(capsys.readouterr().out)["error"]
+        assert err["type"] == "DivergenceError"
+        assert list(out.iterdir()) == []
+
 
 class TestRejectedInputs:
     """Each bad value ends in the error JSON with exit code 1 before any
@@ -416,6 +475,24 @@ class TestClosedFormCommands:
         assert synth.gains.gains.tolist() == gains
         expected = json.dumps(old_dump_config(synth), indent=2, sort_keys=True)
         assert (tmp_path / "config_synthesized.json").read_text() == expected
+
+    def test_synthesize_computes_one_frame(self, tmp_path, capsys, monkeypatch):
+        """The synthesis and the prediction of the new gains share one rotated
+        frame, and print what the two public calls give."""
+        cfg_path = write_config(tmp_path, self.SYNTH_DOC)
+        cfg = load_config(cfg_path)
+        gains = synthesize_gains(cfg.theta0, np.deg2rad(-3.7), c=-2.0)
+        theta_c = swarmsync.predict_direction(cfg.theta0, gains)
+        frames = []
+        rotated_frame = cli.analysis.rotated_frame
+        monkeypatch.setattr(cli.analysis, "rotated_frame",
+                            lambda theta0: frames.append(theta0) or rotated_frame(theta0))
+        code = main(["synthesize", "--config", str(cfg_path), "--target-deg", "-3.7",
+                     "--c=-2", "--out", str(tmp_path)])
+        assert code == 0 and len(frames) == 1
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["gains"] == gains.gains.tolist()
+        assert (doc["theta_c"], doc["theta_c_deg"]) == (theta_c, float(np.degrees(theta_c)))
 
     def test_dump_config_equals_the_per_element_form(self):
         rng = np.random.default_rng(11)

@@ -794,6 +794,77 @@ class TestIntegratorCore:
             simulate_batch([make_config(), make_config(t_max=2e6, record_stride=10**6)])
 
 
+class TestHeadingMajorBatch:
+    """simulate_batch integrates the runs that share a kernel as one
+    heading-major state, with the neighbour law over the disjoint union of
+    their graphs and the mean-field law over one row of means per run."""
+
+    KINDS = {
+        "mean-field": {},
+        "ring-omega0": dict(topology=ring_graph(6), omega0=0.4),
+        "saturated-jittered": dict(u_max=0.3, saturate=True, jitter=True, seed=3),
+        "edge-list-saturated-omega0": dict(topology=edge_list_graph(6), u_max=0.5,
+                                           saturate=True, omega0=-0.2),
+    }
+
+    def base_config(self, kind, **kw):
+        return SimulationConfig(**{
+            "n": 6, "theta0": np.deg2rad([-60.0, -45.0, -30.0, 30.0, 45.0, 60.0]),
+            "gains": GainVector(named_gain_set("set1", 6)),
+            "positions0": np.arange(12.0).reshape(6, 2), "t_max": 8.0, "record_stride": 3,
+            **self.KINDS[kind], **kw})
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_rows_equal_simulate(self, monkeypatch, kind, runs):
+        """A group of one (with its batch axis), two and three runs that differ
+        in theta0, gains, positions0, omega0 and seed: one _integrate call,
+        and every row equal to its own simulate() bit for bit."""
+        rng = np.random.default_rng(runs)
+        base = self.base_config(kind)
+        cfgs = [base] + [dataclasses.replace(base, theta0=rng.uniform(-1.2, 1.2, 6),
+                                             gains=GainVector(-rng.uniform(0.3, 3.0, 6)),
+                                             positions0=rng.uniform(-4.0, 4.0, (6, 2)),
+                                             omega0=base.omega0 + rng.uniform(-0.3, 0.3),
+                                             seed=r)
+                         for r in range(runs - 1)]
+        calls = []
+        integrate = dynamics._integrate
+
+        def counted(y0, *args):
+            calls.append(y0.shape)
+            return integrate(y0, *args)
+
+        monkeypatch.setattr(dynamics, "_integrate", counted)
+        results = simulate_batch(cfgs)
+        assert calls == [(3, runs, 6)]
+        monkeypatch.undo()
+        for cfg, result in zip(cfgs, results):
+            assert_same_run(result, simulate(cfg))
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_step_is_the_first_step_of_simulate(self, monkeypatch, kind):
+        """One RK4 step on the shared stage routines, with no observer or
+        record: bit-equal to the first recorded step of a stride-1 run."""
+        cfg = self.base_config(kind, jitter=False, record_stride=1, t_max=0.05)
+        traj, _ = simulate(cfg)
+        monkeypatch.setattr(dynamics, "_integrate", None)  # step must not build the core
+        new = step(SwarmState(0.0, cfg.positions0, cfg.theta0), cfg)
+        assert same_bits(new.theta, traj.theta[1])
+        assert same_bits(new.positions, traj.positions[1])
+        assert new.t == cfg.dt
+
+    def test_step_divergence_warns_nothing(self):
+        """An infinite heading gives the DivergenceError, and numpy's invalid
+        value warnings stay silent, as in simulate."""
+        cfg = make_config()
+        state = SwarmState(t=0.5, positions=np.zeros((2, 2)), theta=np.array([np.inf, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite state after step from t=0.5"):
+                step(state, cfg)
+
+
 class TestKernelTie:
     """The neighbour law on complete_graph(n) with gains K/n is the mean-field
     law with gains K: a tie between the two kernel branches."""
