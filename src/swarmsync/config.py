@@ -76,9 +76,15 @@ def resolve_topology(value, n: int) -> InteractionGraph | None:
         except ValueError as exc:
             raise ConfigError(f"field 'topology': {exc}") from exc
     if isinstance(value, dict) and set(value) == {"edges"}:
+        edges, pair = value["edges"], (list, tuple)
+        if not (isinstance(edges, pair)
+                and all(isinstance(e, pair) and len(e) == 2 for e in edges)):
+            raise ConfigError("field 'topology.edges': expected a list of [j, k] pairs")
+        # each node index held to _integer's rule: 1.5, true and "0" are errors, 2.0 is 2
+        edges = tuple(tuple(_integer("topology.edges", v) for v in e) for e in edges)
         try:
-            return InteractionGraph(n, tuple(tuple(e) for e in value["edges"]))
-        except (ValueError, TypeError) as exc:
+            return InteractionGraph(n, edges)
+        except ValueError as exc:
             raise ConfigError(f"field 'topology.edges': {exc}") from exc
     raise ConfigError(
         "field 'topology': expected 'complete', 'ring', or {'edges': [[j, k], ...]}"

@@ -15,8 +15,10 @@ to roundoff); wrapping happens only at reporting boundaries.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +42,8 @@ CSV_FLOAT_FMT = "%.17g"
 # `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
 # 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
 RECORD_BUDGET = 2**25
-# Largest number of RK4 steps simulate() may take: 7 to 15 minutes at the
-# 26 to 53 us a step of an n=6 mean-field run with stride 1 (a shared 2-core
+# Largest number of RK4 steps simulate() may take: 6 to 12 minutes at the
+# 22 to 42 us a step of an n=6 mean-field run with stride 1 (a shared 2-core
 # x86-64 host, quiet and busy), far above every bundled scenario (80,000 steps).
 STEP_BUDGET = 2**24
 
@@ -113,8 +115,8 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if not self.t_max > self.dt:
             raise ValueError("t_max must exceed dt")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if not 1 <= self.record_stride <= STEP_BUDGET:  # a larger stride records nothing more
+            raise ValueError(f"record_stride must be between 1 and the step budget {STEP_BUDGET}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.topology is not None and self.topology.n != self.n:
@@ -238,59 +240,71 @@ class ConvergenceReport:
 def _make_rhs(kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
               u_max: float | None, runs: int, n: int):
     """The right-hand side of R runs of n agents that share edges and u_max,
-    and the shape of their joint state; kvec and omega0 broadcast to (R, n).
+    and the shape of their headings; kvec and omega0 broadcast to (R, n).
 
-    rhs(theta, u, xy) writes the derivative of the joint state [theta; x; y]
-    at headings theta into its heading row u and position rows xy. The state
-    is heading-major, run r's agents at columns r*n..r*n+n-1 of each row, and
-    the rows are 1-D (R*n,) so that every ufunc runs over contiguous rows as
-    for one run: the neighbour law sums the disjoint union of the R graphs
-    with _grad's 1-D bincount, each node over its edges in the order of one
-    run. Only a mean-field batch (R > 1) shapes its rows (R, n), so each
-    run's mean is a row reduction; one mean-field run keeps the scalar mean.
+    rhs(exponent, u, z) writes e^{i theta} = exp(exponent) into z and the
+    commands at headings theta into u. Headings are heading-major, run r's
+    agents at r*n..r*n+n-1 of one (R*n,) row, so every ufunc runs over one
+    contiguous row as for one run: the neighbour law sums the disjoint union
+    of the R graphs with _grad's 1-D bincount, each node over its edges in
+    the order of one run. A mean-field batch (R > 1) shapes it (R, n).
     """
     heading = (runs, n) if edges is None and runs > 1 else (runs * n,)
     if edges is not None:  # the disjoint union of the R graphs: run r's nodes offset by r*n
         offsets = np.arange(0, runs * n, n)[:, None]
-        edges = tuple((e + offsets).ravel() for e in edges)
+        grad = partial(_grad, edges=tuple((e + offsets).ravel() for e in edges))
+    else:  # _grad's mean-field kernel Im(conj(p) z), written into one buffer
+        w = np.empty(heading, dtype=complex)
+        w_imag, keep = w.imag, runs > 1
+
+        def grad(z):
+            np.multiply(np.conj(np.add.reduce(z, -1, None, None, keep) / n), z, w)
+            return w_imag
     kvec, omega0 = (np.full((runs, n), a, dtype=float).reshape(heading) for a in (kvec, omega0))
-    z = np.empty(heading, dtype=complex)
-    cos_sin = z.view(float).reshape(*heading, 2).transpose(-1, *range(z.ndim))  # (2, *heading)
-    # numpy scalars as 0-d arrays: the same floats, a faster ufunc call than Python numbers
-    i1 = np.array(1j)
 
-    def rhs(theta: np.ndarray, u: np.ndarray, xy: np.ndarray) -> None:
-        np.exp(np.multiply(i1, theta, out=z), out=z)
-        np.multiply(kvec, _grad(z, edges), out=u)
-        np.add(omega0, u, out=u)
+    def rhs(exponent: np.ndarray, u: np.ndarray, z: np.ndarray) -> None:
+        np.exp(exponent, z)
+        np.multiply(kvec, grad(z), u)
+        np.add(omega0, u, u)
         if u_max is not None:
-            np.clip(u, -u_max, u_max, out=u)
-        np.copyto(xy, cos_sin)
+            np.clip(u, -u_max, u_max, u)
 
-    return rhs, (3, *heading)
+    return rhs, heading
 
 
-def _rk4_step(rhs, dt: float, shape: tuple[int, ...]):
-    """step(y, out): one classical RK4 step of dt from y into out, both of
-    the state's shape, through stage buffers allocated once here. Each
-    operation writes into a buffer, in the order of the expression
-    y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stage headings theta + (dt/2) k1,
-    theta + (dt/2) k2 and theta + dt k3, so the result is the same floats."""
-    k1, k2, k3, k4 = (np.empty(shape) for _ in range(4))
-    (u1, xy1), (u2, xy2), (u3, xy3), (u4, xy4) = ((k[0], k[1:]) for k in (k1, k2, k3, k4))
-    stage = np.empty(u1.shape)
-    half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
+def _rk4_step(rhs, dt: float, heading: tuple[int, ...]):
+    """step(y, out): one classical RK4 step of dt from the flat state y into
+    out, through buffers allocated once here.
+
+    A state is [theta | x0, y0, x1, y1, ...], 3m floats for m headings, so
+    the position part of a stage derivative k, k[m:] viewed as complex, is
+    the e^{i theta} that exp writes in place. Stage exponents are i*theta
+    plus h u written into the imaginary part of a zeroed buffer (whose real
+    part stays +-0, or nan for a non-finite theta): the floats of i*(theta
+    + h u), as both turn -0.0 into +0.0. Each operation writes into a buffer
+    in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's."""
+    m = math.prod(heading)
+    k1, k2, k3, k4 = ks = [np.empty(3 * m) for _ in range(4)]
+    (u1, z1), (u2, z2), (u3, z3), (u4, z4) = (
+        (k[:m].reshape(heading), k[m:].view(complex).reshape(heading)) for k in ks)
+    itheta, stage = np.empty(m, dtype=complex), np.zeros(heading, dtype=complex)
+    itheta_h, stage_imag = itheta.reshape(heading), stage.imag
+    i1, half, full = np.array(1j), np.array(0.5 * dt), np.array(dt)  # 0-d: faster ufunc calls
+    sixth, two = np.array(dt / 6.0), np.array(2.0)
 
     def step(y: np.ndarray, out: np.ndarray) -> None:
-        theta = y[0]
-        rhs(theta, u1, xy1)
-        rhs(np.add(theta, np.multiply(half, u1, out=stage), out=stage), u2, xy2)
-        rhs(np.add(theta, np.multiply(half, u2, out=stage), out=stage), u3, xy3)
-        rhs(np.add(theta, np.multiply(full, u3, out=stage), out=stage), u4, xy4)
-        np.add(k1, np.multiply(two, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(two, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        np.add(y, np.multiply(sixth, k1, out=k1), out=out)
+        np.multiply(i1, y[:m], itheta)
+        rhs(itheta_h, u1, z1)
+        np.multiply(half, u1, stage_imag)
+        rhs(np.add(itheta_h, stage, stage), u2, z2)
+        np.multiply(half, u2, stage_imag)
+        rhs(np.add(itheta_h, stage, stage), u3, z3)
+        np.multiply(full, u3, stage_imag)
+        rhs(np.add(itheta_h, stage, stage), u4, z4)
+        np.add(k1, np.multiply(two, k2, k2), k1)
+        np.add(k1, np.multiply(two, k3, k3), k1)
+        np.add(k1, k4, k1)
+        np.add(y, np.multiply(sixth, k1, k1), out)
 
     return step
 
@@ -331,34 +345,41 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
 OBSERVER_BLOCK_BYTES = 2**16
 
 
+def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the headings (..., R, n) and positions (..., R, n, 2) of R runs."""
+    lead, m = states.shape[:-1], runs * n
+    return states[..., :m].reshape(*lead, runs, n), states[..., m:].reshape(*lead, runs, n, 2)
+
+
 def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
                u_max: float | None, dt: float, n_steps: int, stride: int):
     """Integrate R runs of the closed loop that share edges, u_max, dt, the
     step count and the stride, from the joint states y0 of shape (3, R, n)
-    (run r's state at [:, r]), with gains kvec and turn rates omega0 that
-    broadcast to (R, n).
+    (run r's theta, x and y at [:, r]), with gains kvec and turn rates omega0
+    that broadcast to (R, n).
 
-    The runs are integrated as one heading-major state (see _make_rhs), so
-    a step of a few small runs costs about one step of one run, and one run
-    (R = 1) is the plain (3, n) state. Steps fill a block of states; each
+    The runs are one flat state (see _rk4_step, _make_rhs), so a step of a
+    few small runs costs about one step of one run. Steps fill a block; each
     block goes through the sync observer at once, and its states at
     multiples of ``stride`` steps are recorded and checked finite. Returns
-    the recorded states (n_steps // stride + 1, 3, R, n) and the final state
-    (3, R, n), both views of the heading-major arrays, and per run as (R,)
-    arrays the sync time and the time of its first non-finite recorded or
-    final state, nan for none. Stops early once every run has diverged.
+    views of the recorded headings (S, R, n) and positions (S, R, n, 2) and
+    of the final headings (R, n), and per run (R,) the sync time and the
+    time of its first non-finite recorded or final state, nan for none.
+    Stops early once every run has diverged.
     """
     _, runs, n = y0.shape
-    rhs, shape = _make_rhs(kvec, omega0, edges, u_max, runs, n)
-    step = _rk4_step(rhs, dt, shape)
-    states = np.empty((n_steps // stride + 1, *shape))
+    rhs, heading = _make_rhs(kvec, omega0, edges, u_max, runs, n)
+    step = _rk4_step(rhs, dt, heading)
+    states = np.empty((n_steps // stride + 1, 3 * runs * n))
     slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
-    block = np.empty((slots, *shape))
-    below_since = np.full(runs, np.nan)
-    t_sync = np.full(runs, np.nan)
-    t_bad = np.full(runs, np.nan)
+    block = np.empty((slots, 3 * runs * n))
+    below_since, t_sync, t_bad = (np.full(runs, np.nan) for _ in range(3))
 
-    block[0] = y0.reshape(shape)
+    def finite(s: np.ndarray) -> np.ndarray:  # (..., R): each run's state is finite
+        theta, xy = _runs(np.isfinite(s), runs, n)
+        return theta.all(axis=-1) & xy.all(axis=(-2, -1))
+
+    block[0] = np.concatenate((y0[0].ravel(), np.moveaxis(y0[1:], 0, -1).ravel()))
     # a diverging run overflows; the finite checks below report it as t_bad,
     # so numpy's overflow/invalid warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -368,21 +389,19 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray
                 step(block[i - 1], block[i])
             t = np.arange(start, start + size) * dt
             if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
-                _sync_block(block[:size, 0].reshape(size, runs, n), t, below_since, t_sync)
+                _sync_block(_runs(block[:size], runs, n)[0], t, below_since, t_sync)
             first = -(-start // stride) * stride
             recorded = block[first - start:size:stride]
             states[first // stride:first // stride + len(recorded)] = recorded
-            finite = np.isfinite(recorded).reshape(len(recorded), 3, runs, n).all(axis=(1, 3))
-            if not finite.all():
-                bad = ~finite.all(axis=0) & np.isnan(t_bad)
-                t_bad[bad] = t[first - start::stride][finite[:, bad].argmin(axis=0)]
+            ok = finite(recorded)
+            if not ok.all():
+                bad = ~ok.all(axis=0) & np.isnan(t_bad)
+                t_bad[bad] = t[first - start::stride][ok[:, bad].argmin(axis=0)]
                 if not np.isnan(t_bad).any():
                     break
-    final = block[size - 1].reshape(3, runs, n)
     if start + size == n_steps + 1:
-        bad = ~np.isfinite(final).all(axis=(0, 2)) & np.isnan(t_bad)
-        t_bad[bad] = n_steps * dt
-    return states.reshape(-1, 3, runs, n), final, t_sync, t_bad
+        t_bad[~finite(block[size - 1]) & np.isnan(t_bad)] = n_steps * dt
+    return (*_runs(states, runs, n), _runs(block[size - 1], runs, n)[0], t_sync, t_bad)
 
 
 def _law(cfg: SimulationConfig):
@@ -410,21 +429,21 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
 def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme: the first step
     simulate() takes from this state, bit for bit."""
-    y = np.vstack((state.theta, np.transpose(state.positions)), dtype=float)
-    rhs, shape = _make_rhs(*_law(cfg), 1, cfg.n)
+    y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
+    rhs, heading = _make_rhs(*_law(cfg), 1, cfg.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_step(rhs, cfg.dt, shape)(y, y)
+        _rk4_step(rhs, cfg.dt, heading)(y, y)
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
-    return SwarmState(t=state.t + cfg.dt, positions=y[1:].T.copy(), theta=y[0].copy())
+    return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])
 
 
-def _outcome(cfg: SimulationConfig, n_steps: int, states: np.ndarray, final: np.ndarray,
-             t_sync: float) -> tuple[TrajectoryRecord, ConvergenceReport]:
-    """The record and report of one run from its recorded states (S, 3, n),
-    its final state (3, n) and its sync time (nan for none)."""
+def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
+             b: int) -> tuple[TrajectoryRecord, ConvergenceReport]:
+    """The record and report of run b of the runs that _integrate returned."""
+    theta, positions, final, t_sync, _ = run
+    theta_s, final, t_sync = theta[:, b], final[b], t_sync[b]
     kvec, omega0, edges, u_max = _law(cfg)
-    theta_s = states[:, 0]
     # the commands the right-hand side evaluates at each sample, and where
     # clipping changed them (strictly beyond u_max)
     u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
@@ -432,28 +451,16 @@ def _outcome(cfg: SimulationConfig, n_steps: int, states: np.ndarray, final: np.
         controls, saturated = u, np.zeros_like(u, dtype=bool)
     else:
         controls, saturated = np.clip(u, -u_max, u_max), np.abs(u) > u_max
-    traj = TrajectoryRecord(
-        times=np.arange(len(states)) * cfg.record_stride * cfg.dt,
-        theta=theta_s,
-        positions=states[:, 1:].transpose(0, 2, 1),
-        controls=controls,
-        saturated=saturated,
-        gains=kvec,
-        omega0=omega0,
-        edges=edges,
-    )
+    traj = TrajectoryRecord(times=np.arange(len(theta_s)) * cfg.record_stride * cfg.dt,
+                            theta=theta_s, positions=positions[:, b], controls=controls,
+                            saturated=saturated, gains=kvec, omega0=omega0, edges=edges)
     synchronized = not np.isnan(t_sync)
-    heading: float | None = None
-    if synchronized:
-        th_rot = final[0] - omega0 * (n_steps * cfg.dt)
-        heading = float(np.angle(np.exp(1j * th_rot).mean()))
-    report = ConvergenceReport(
-        synchronized=synchronized,
-        t_sync=float(t_sync) if synchronized else None,
-        final_heading_common=heading,
-        max_heading_spread_final=heading_spread(final[0]),
-    )
-    return traj, report
+    heading = (float(np.angle(np.exp(1j * (final - omega0 * (n_steps * cfg.dt))).mean()))
+               if synchronized else None)
+    return traj, ConvergenceReport(synchronized=synchronized,
+                                   t_sync=float(t_sync) if synchronized else None,
+                                   final_heading_common=heading,
+                                   max_heading_spread_final=heading_spread(final))
 
 
 def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport]:
@@ -463,12 +470,7 @@ def simulate(cfg: SimulationConfig) -> tuple[TrajectoryRecord, ConvergenceReport
     difference stays below SYNC_TOL for SYNC_HOLD seconds; t_sync is the start
     of the first such window.
     """
-    n_steps, _ = _step_counts(cfg)
-    states, final, t_sync, t_bad = _integrate(_start(cfg)[:, None], *_law(cfg), cfg.dt,
-                                              n_steps, cfg.record_stride)
-    if not np.isnan(t_bad[0]):
-        raise DivergenceError(f"non-finite state at t={t_bad[0]:g}")
-    return _outcome(cfg, n_steps, states[:, :, 0], final[:, 0], t_sync[0])
+    return simulate_batch([cfg])[0]
 
 
 def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
@@ -476,13 +478,12 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     simulate(cfg) bit for bit.
 
     Configs that share n, topology, dt, t_max, record_stride and the clip
-    limit (u_max when saturating) are integrated together as one
-    heading-major batch (see _integrate), so they share the per-step cost;
-    a group of one costs what simulate() does. They may differ in theta0,
-    gains, positions0, omega0, seed and jitter. Every config is checked against the
-    budgets before any run starts, and the first one rejected raises
-    simulate's ValueError. When runs diverge, the DivergenceError simulate
-    would raise for the first diverging config in input order is raised.
+    limit (u_max when saturating) are integrated as one batch (see
+    _integrate) and share the per-step cost; simulate() is a batch of one.
+    Every config is checked against the budgets before any run starts; the
+    first one rejected raises simulate's ValueError. When runs diverge, the
+    DivergenceError simulate raises for the first such config in input order
+    is raised.
     """
     cfgs = list(cfgs)
     counts = [_step_counts(cfg) for cfg in cfgs]
@@ -501,17 +502,16 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
         # one batch records no more values than one run at the record budget
         size = max(1, RECORD_BUDGET // (n_samples * lead.n))
         for chunk in (rows[lo:lo + size] for lo in range(0, len(rows), size)):
-            states, final, t_sync, t_bad = _integrate(
+            run = _integrate(
                 np.stack([starts[i] for i in chunk], axis=1),
                 np.stack([cfgs[i].gains.gains for i in chunk]),
                 np.array([[cfgs[i].omega0] for i in chunk]),
                 edges, u_max, lead.dt, n_steps, lead.record_stride)
             for b, i in enumerate(chunk):
-                if np.isnan(t_bad[b]):
-                    results[i] = _outcome(cfgs[i], n_steps, states[:, :, b], final[:, b],
-                                          t_sync[b])
+                if np.isnan(run[-1][b]):
+                    results[i] = _outcome(cfgs[i], n_steps, run, b)
                 else:
-                    diverged[i] = t_bad[b]
+                    diverged[i] = run[-1][b]
     if diverged:
         raise DivergenceError(f"non-finite state at t={diverged[min(diverged)]:g}")
     return results

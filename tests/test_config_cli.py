@@ -1,7 +1,9 @@
 """Config ingestion, CLI subcommands, exit codes, and scenario execution."""
 
+import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -574,3 +576,156 @@ class TestClosedFormCommands:
         assert proc.returncode == 1
         assert strict_json(proc.stdout)["error"]["type"] == "DivergenceError"
         assert proc.stderr == ""
+
+
+class TestStrictEntries:
+    """Edge-list node indices are read with the integer rule of n and seed,
+    and record_stride is bounded by the step budget: each wrong value is a
+    ConfigError naming its field, not a coerced value or an OverflowError."""
+
+    EDGES = {**BASE_DOC, "n": 3, "theta0_deg": [0.0, 10.0, 20.0], "gains": [-1.0] * 3}
+
+    @pytest.mark.parametrize("entry", [1.5, True, "1", None, float("inf"), float("nan"), [1]],
+                             ids=repr)
+    def test_edge_entry_rejected(self, entry):
+        with pytest.raises(ConfigError, match="topology.edges"):
+            parse_config({**self.EDGES, "topology": {"edges": [[0, entry], [1, 2]]}})
+
+    @pytest.mark.parametrize("edges", [None, 3, "01", [[0, 1, 2]], [0, 1], {"a": 1}], ids=repr)
+    def test_edge_list_shape_rejected(self, edges):
+        with pytest.raises(ConfigError, match="topology.edges"):
+            parse_config({**self.EDGES, "topology": {"edges": edges}})
+
+    def test_integral_float_edge_entry_accepted(self):
+        cfg = parse_config({**self.EDGES, "topology": {"edges": [[0, 1.0], [2.0, 1]]}})
+        assert cfg.topology.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in cfg.topology.edges for v in e)
+
+    def test_record_stride_bounded_by_the_step_budget(self):
+        assert parse_config({**BASE_DOC, "record_stride": STEP_BUDGET}).record_stride == STEP_BUDGET
+        for stride in (STEP_BUDGET + 1, 1e300, 10**400, 0):
+            with pytest.raises(ConfigError, match="record_stride"):
+                parse_config({**BASE_DOC, "record_stride": stride})
+
+
+def fuzz_doc(seed: int) -> dict:
+    """A valid, short neighbour-law run of four agents drawn from the seed,
+    with every optional field set so that every field can be mutated."""
+    rng = np.random.default_rng(seed)
+    return {
+        "n": 4,
+        "theta0_deg": rng.uniform(-60.0, 60.0, 4).tolist(),
+        "gains": (-rng.uniform(0.5, 2.0, 4)).tolist(),
+        "positions0": rng.uniform(-3.0, 3.0, (4, 2)).tolist(),
+        "omega0": 0.1,
+        "topology": {"edges": [[0, 1], [1, 2], [2, 3]]},
+        "dt": 0.05,
+        "t_max": 1.0,
+        "u_max": 2.0,
+        "saturate": True,
+        "record_stride": 2,
+        "seed": 3,
+        "jitter": True,
+    }
+
+
+def fuzz_paths(doc: dict) -> list[tuple]:
+    """Every field, every entry of the list fields and every node index of
+    the edge list, as key paths into doc."""
+    out = [(name,) for name in doc]
+    out += [(name, i) for name in ("theta0_deg", "gains") for i in range(len(doc[name]))]
+    out += [("positions0", i, j) for i in range(len(doc["positions0"])) for j in range(2)]
+    edges = doc["topology"]["edges"]
+    out += [("topology", "edges", i, j) for i in range(len(edges)) for j in range(2)]
+    return out
+
+
+def mutated(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestCliFuzz:
+    """Seeded CLI fuzz: every field of a valid config, and every entry of its
+    lists, is replaced by each value of a fixed menu of wrong or extreme JSON
+    values. Each case must either run (exit 0 or 2, with its output files)
+    or exit 1 with the error JSON and no output directory; an exception
+    escaping ``main`` is the traceback a user would see."""
+
+    MENU = {
+        "null": None,
+        "true": True,
+        "string": "0",
+        "list": [1.0],
+        "object": {"a": 1},
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "1e308": 1e308,
+        "negative": -1,
+        "non-integral": 1.5,
+    }
+
+    @staticmethod
+    def check_case(tmp_path, capsys, doc: dict, label: str) -> int:
+        """`swarmsync simulate` on doc in-process: a run with its outputs, or
+        the error JSON with no output directory."""
+        case = tmp_path / label
+        case.mkdir()
+        cfg = write_config(case, doc)  # NaN and Infinity as the JSON reader accepts them
+        out = case / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        stdout = json.loads(capsys.readouterr().out)
+        if code == 1:
+            assert set(stdout) == {"error"} and set(stdout["error"]) == {"type", "message"}, label
+            assert not out.exists(), label
+        else:
+            assert code in (0, 2), label
+            assert "error" not in stdout, label
+            assert (out / "trajectory.csv").is_file(), label
+            assert (out / "convergence.json").is_file(), label
+        return code
+
+    @pytest.mark.parametrize("path", fuzz_paths(fuzz_doc(0)), ids=lambda p: ".".join(map(str, p)))
+    def test_every_menu_value_runs_or_fails_cleanly(self, tmp_path, capsys, path):
+        doc = fuzz_doc(0)
+        assert self.check_case(tmp_path, capsys, doc, "valid") in (0, 2)
+        for name, value in self.MENU.items():
+            self.check_case(tmp_path, capsys, mutated(doc, path, value), name)
+
+    def test_seeded_double_mutations(self, tmp_path, capsys):
+        """Two fields or entries mutated at once, drawn from a seeded
+        generator, on base configs drawn from other seeds."""
+        rng = np.random.default_rng(20)
+        names = list(self.MENU)
+        codes = set()
+        for case in range(60):
+            doc = fuzz_doc(int(rng.integers(1, 1000)))
+            options = fuzz_paths(doc)
+            picked = [options[k] for k in rng.choice(len(options), size=2, replace=False)]
+            # the deeper path first, so the other one still leads through unmutated lists
+            for path in sorted(picked, key=len, reverse=True):
+                doc = mutated(doc, path, self.MENU[names[rng.integers(len(names))]])
+            codes.add(self.check_case(tmp_path, capsys, doc, f"case{case}"))
+        assert 1 in codes and codes & {0, 2}
+
+    @pytest.mark.parametrize("path,value", [
+        (("topology", "edges", 0, 1), math.inf),
+        (("record_stride",), 1e300),
+    ], ids=["infinite-edge-entry", "huge-record-stride"])
+    def test_no_traceback_in_a_fresh_process(self, tmp_path, path, value):
+        """The two inputs that once ended in an OverflowError traceback: an
+        edge entry of Infinity (int(inf)) and a record_stride whose sample
+        times overflow a C long."""
+        cfg = write_config(tmp_path, mutated(fuzz_doc(0), path, value))
+        out = tmp_path / "out"
+        proc = run_fresh(["-m", "swarmsync.cli", "simulate", "--config", str(cfg),
+                          "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert path[0] in json.loads(proc.stdout)["error"]["message"]
+        assert not out.exists()

@@ -32,6 +32,7 @@ from swarmsync import (
 )
 from swarmsync import dynamics
 from swarmsync.dynamics import SYNC_HOLD, SYNC_TOL
+from swarmsync.phase import _grad
 from swarmsync.topology import edge_arrays
 
 RNG = np.random.default_rng(404)
@@ -882,3 +883,109 @@ class TestKernelTie:
         np.testing.assert_allclose(g_traj.controls, mf_traj.controls, rtol=0, atol=1e-12)
         assert mf.synchronized and g.t_sync == mf.t_sync
         assert abs(wrap_angle(g.final_heading_common - mf.final_heading_common)) < 1e-12
+
+
+def plain_run(cfg):
+    """The states (S, 3, n) simulate() records, by the plain RK4 scheme on
+    (theta, x, y) with allocating arithmetic and the program's coupling law,
+    phase._grad: stage headings theta + h k turned into exponents
+    i*(theta + h k). Unlike reference_run's mean-field law -Im(p conj(z)),
+    _grad's Im(conj(p) z) can give a -0.0 command, so this one keeps the
+    sign of every zero."""
+    kvec, omega0, edges, u_max = dynamics._law(cfg)
+    dt = cfg.dt
+
+    def rhs(y):
+        z = np.exp(1j * y[0])
+        u = omega0 + kvec * _grad(z, edges)
+        return np.array([u if u_max is None else np.clip(u, -u_max, u_max), z.real, z.imag])
+
+    y = np.vstack((cfg.theta0, cfg.positions0.T))
+    states = [y]
+    for _ in range(int(cfg.t_max / dt + 1e-9)):
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states[::cfg.record_stride])
+
+
+class TestSignedZeroStages:
+    """The fused RK4 step forms its stage exponents as i*theta and
+    i*theta + i*(h u), with h u written into an imaginary part. They equal
+    the i*(theta + h u) of the plain scheme bit for bit only because i*x and
+    x + i*y both turn a -0.0 imaginary part into +0.0; a -0.0 heading whose
+    command is -0.0 is where a stage built otherwise would differ."""
+
+    def test_numpy_turns_negative_zero_imaginary_parts_positive(self):
+        theta, hu = np.array([-0.0, -0.0, 0.0, -1.5]), np.array([-0.0, 0.0, -0.0, 0.5])
+        plain = np.array(1j) * (theta + hu)  # the exponent of the plain scheme
+        itheta = np.array(1j) * theta
+        stage = np.zeros(4, dtype=complex)
+        stage.imag = hu
+        fused = itheta + stage
+        assert same_bits(itheta.imag[:3], np.zeros(3))  # -0.0 * i has a +0.0 imaginary part
+        assert same_bits(fused.imag, plain.imag) and same_bits(plain.imag[:3], np.zeros(3))
+        assert np.signbit(theta + hu)[0]  # the -0.0 that writing theta + h u into .imag keeps
+        assert same_bits(np.exp(fused), np.exp(plain))
+
+    @staticmethod
+    def configs(topology, runs):
+        """Degenerate starts of 3 agents: -0.0 among headings symmetric about
+        it (its mean-field command is then -0.0), all-equal headings,
+        headings at +-pi and saturation; omega0 = -0.0 and -0.0 in the
+        positions throughout. Each kind gives up to three runs that share a
+        kernel."""
+        graph = None if topology == "mean-field" else ring_graph(3)
+        base = dict(n=3, gains=GainVector([-1.0, -0.5, -2.0]), topology=graph, omega0=-0.0,
+                    positions0=np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -0.0]]), t_max=2.0,
+                    record_stride=3)
+        starts = {
+            "symmetric": [np.array([-0.0, a, -a]) for a in (0.4, 1.1, 2.5)],
+            "all-equal": [np.full(3, -0.0), np.zeros(3), np.full(3, 0.7)],
+            "pi": [np.array([np.pi, -np.pi, np.pi]), np.array([-np.pi, -0.0, np.pi]),
+                   np.array([np.pi, np.pi - 1e-9, -np.pi + 1e-9])],
+            "saturated": [np.array([-0.0, 1.2, -1.2]), np.array([-0.0, 0.3, 2.9]),
+                          np.array([-0.0, -0.0, 3.0])],
+        }
+        clip = {"saturated": dict(u_max=0.1, saturate=True)}
+        return [SimulationConfig(**base, theta0=th, **clip.get(kind, {}))
+                for kind, thetas in starts.items() for th in thetas[:runs]]
+
+    @staticmethod
+    def assert_equals_references(cfg, traj, report):
+        """Bit for bit against plain_run, and against reference_run: bit for
+        bit for the neighbour law, equal as numbers (-0.0 == 0.0) for the
+        mean-field law, whose reference computes its zeros with another sign."""
+        states = plain_run(cfg)
+        assert same_bits(traj.theta, states[:, 0]), cfg.theta0
+        assert same_bits(traj.positions, states[:, 1:].transpose(0, 2, 1)), cfg.theta0
+        if cfg.topology is not None:
+            assert_matches_reference(cfg, traj, report)
+        else:
+            ref_states, controls, t_sync, heading, _ = reference_run(cfg)
+            assert np.array_equal(traj.theta, ref_states[:, 0])
+            assert np.array_equal(traj.controls, controls)
+            assert (report.t_sync, report.final_heading_common) == (t_sync, heading)
+
+    @pytest.mark.parametrize("topology", ["mean-field", "ring"])
+    def test_simulate(self, topology):
+        for cfg in self.configs(topology, 3):
+            self.assert_equals_references(cfg, *simulate(cfg))
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("topology", ["mean-field", "ring"])
+    def test_simulate_batch(self, topology, runs):
+        cfgs = self.configs(topology, runs)
+        for cfg, result in zip(cfgs, simulate_batch(cfgs)):
+            self.assert_equals_references(cfg, *result)
+
+    @pytest.mark.parametrize("topology", ["mean-field", "ring"])
+    def test_step(self, topology):
+        for cfg in self.configs(topology, 3):
+            states = plain_run(dataclasses.replace(cfg, t_max=0.015, record_stride=1))
+            new = step(SwarmState(0.0, cfg.positions0, cfg.theta0), cfg)
+            assert same_bits(new.theta, states[1, 0]), cfg.theta0
+            assert same_bits(new.positions, states[1, 1:].T), cfg.theta0
