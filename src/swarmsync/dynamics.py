@@ -445,8 +445,11 @@ def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
     theta_s, final, t_sync = theta[:, b], final[b], t_sync[b]
     kvec, omega0, edges, u_max = _law(cfg)
     # the commands the right-hand side evaluates at each sample, and where
-    # clipping changed them (strictly beyond u_max)
-    u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
+    # clipping changed them (strictly beyond u_max); a gain near the float
+    # limit overflows a command to +-inf, which the clip bounds, so numpy's
+    # overflow warning is silenced as in _integrate
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
     if u_max is None:
         controls, saturated = u, np.zeros_like(u, dtype=bool)
     else:

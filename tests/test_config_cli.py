@@ -22,10 +22,10 @@ from swarmsync import (
     parse_config,
     run_scenario,
 )
-from swarmsync import cli, dynamics, scenarios, synthesize_gains
+from swarmsync import cli, config, dynamics, scenarios, synthesize_gains
 from swarmsync.cli import main
 from swarmsync.config import with_overrides
-from swarmsync.dynamics import STEP_BUDGET, _step_counts, simulate, write_run
+from swarmsync.dynamics import STEP_BUDGET, SimulationConfig, _step_counts, simulate, write_run
 
 BASE_DOC = {
     "n": 2,
@@ -122,11 +122,76 @@ class TestConfigParsing:
         second = dump_config(parse_config(first))
         assert first == second
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dump_is_fixed_after_one_pass(self, seed):
+        """Seeded configs with every field away from its default, read from
+        JSON and built directly in radians: parse(dump(cfg)) has cfg's
+        headings to 1 ulp and its other fields exactly, and dump(parse(dump(c)))
+        == dump(c) for every parsed config c."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        doc = {
+            "n": n,
+            "theta0_deg": rng.uniform(-720.0, 720.0, n).tolist(),
+            "gains": (-(10.0 ** rng.uniform(-3, 3, n))).tolist(),
+            "positions0": rng.normal(0.0, 1e3, (n, 2)).tolist(),
+            "omega0": float(rng.normal()),
+            "topology": {"edges": [[k, int(rng.integers(k))] for k in range(1, n)]},
+            "dt": float(rng.uniform(0.001, 0.1)),
+            "t_max": float(rng.uniform(1.0, 50.0)),
+            "u_max": float(rng.uniform(0.1, 5.0)),
+            "saturate": True,
+            "record_stride": int(rng.integers(2, 50)),
+            "seed": int(rng.integers(0, 2**31)),
+            "jitter": True,
+        }
+        parsed = parse_config(doc)
+        built = dataclasses.replace(parsed, theta0=rng.uniform(-4 * np.pi, 4 * np.pi, n))
+        for cfg in (parsed, built):
+            dumped = dump_config(cfg)
+            again = parse_config(dumped)
+            assert dump_config(parse_config(dump_config(again))) == dump_config(again)
+            ulps = np.abs(again.theta0 - cfg.theta0) / np.spacing(np.abs(cfg.theta0))
+            assert ulps.max() <= 1.0
+            assert dumped == {**dump_config(again), "theta0_deg": dumped["theta0_deg"]}
+        assert dump_config(parse_config(dump_config(parsed))) == dump_config(parsed)
+        required = ("n", "theta0_deg", "gains")
+        defaults = dump_config(parse_config({k: doc[k] for k in required}))
+        assert all(dump_config(parsed)[k] != defaults[k] for k in set(doc) - set(required))
+
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+class TestSchema:
+    """config._FIELDS is the one statement of the config schema."""
+
+    def test_fields_are_the_simulation_config_attributes(self):
+        attrs = [attr for attr, _, _ in config._FIELDS.values()]
+        assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(SimulationConfig))
+
+    def test_readme_table_lists_the_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Config schema", 1)[1].split("\n\n", 2)[1]
+        listed = [row.split("`")[1] for row in table.splitlines()[2:]]
+        assert sorted(listed) == sorted(config._FIELDS)
+
+    @pytest.mark.parametrize("name,attr", [(name, row[0]) for name, row in config._FIELDS.items()])
+    def test_null_means_a_none_default_only(self, name, attr):
+        """null reads as the field left out where SimulationConfig's default
+        is None, and is an error naming the field everywhere else."""
+        default = next(f.default for f in dataclasses.fields(SimulationConfig) if f.name == attr)
+        doc = {**TestClosedFormCommands.SYNTH_DOC, "saturate": False, "jitter": True}
+        if default is None:
+            left_out = {k: v for k, v in doc.items() if k != name}
+            assert dump_config(parse_config({**doc, name: None})) == dump_config(
+                parse_config(left_out))
+        else:
+            with pytest.raises(ConfigError, match=f"^field '{name}': "):
+                parse_config({**doc, name: None})
 
 
 class TestCliCommands:
@@ -712,6 +777,20 @@ class TestCliFuzz:
                 doc = mutated(doc, path, self.MENU[names[rng.integers(len(names))]])
             codes.add(self.check_case(tmp_path, capsys, doc, f"case{case}"))
         assert 1 in codes and codes & {0, 2}
+
+    def test_huge_gain_warns_no_overflow(self, tmp_path, capsys):
+        """Case gains.1 = 1e308 of the menu: a saturated run whose commands
+        overflow to infinity and are clipped at u_max. Its recorded commands
+        once printed numpy's overflow RuntimeWarning; the gain set's
+        UserWarning is the only warning left."""
+        doc = mutated(fuzz_doc(0), ("gains", 1), 1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.check_case(tmp_path, capsys, doc, "huge-gain") in (0, 2)
+            traj, _ = simulate(parse_config(doc))
+        assert {w.category for w in caught} == {UserWarning}
+        assert np.abs(traj.controls).max() == doc["u_max"] and traj.saturated[:, 1].any()
 
     @pytest.mark.parametrize("path,value", [
         (("topology", "edges", 0, 1), math.inf),

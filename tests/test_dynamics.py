@@ -32,8 +32,7 @@ from swarmsync import (
 )
 from swarmsync import dynamics
 from swarmsync.dynamics import SYNC_HOLD, SYNC_TOL
-from swarmsync.phase import _grad
-from swarmsync.topology import edge_arrays
+from swarmsync.topology import edge_arrays, is_connected
 
 RNG = np.random.default_rng(404)
 
@@ -500,10 +499,11 @@ def test_large_ring_simulates_without_dense_matrices():
 def reference_run(cfg):
     """The serial loop simulate() ran before the block core, kept as the
     reference the core must equal bit for bit: the allocating RK4 step with
-    the coupling formulas of that loop, the per-step sync observer and a
-    finite check at every recorded sample. Returns the recorded states
-    (S, 3, n), the recorded controls, t_sync, the final common heading and
-    the time of the first step whose spread was below SYNC_TOL."""
+    the coupling law written out in phase._grad's form, so that even the
+    sign of a zero command agrees, the per-step sync observer and a finite
+    check at every recorded sample. Returns the recorded states (S, 3, n),
+    the recorded controls, t_sync, the final common heading and the time of
+    the first step whose spread was below SYNC_TOL."""
     n_steps = int(cfg.t_max / cfg.dt + 1e-9)
     dt, omega0, kvec = cfg.dt, cfg.omega0, cfg.gains.gains
     edges = None if cfg.topology is None else edge_arrays(cfg.topology)
@@ -511,8 +511,8 @@ def reference_run(cfg):
 
     def law(theta):
         z = np.exp(1j * theta)
-        if edges is None:
-            g = -np.imag(z.sum(axis=-1, keepdims=True) / z.shape[-1] * np.conj(z))
+        if edges is None:  # Im(conj(p) z_k), p the mean heading vector
+            g = (np.conj(z.sum() / z.size) * z).imag
         else:
             g = np.bincount(edges[0], (z[edges[0]] * z[edges[1]].conj()).imag, z.size)
         u = omega0 + kvec * g
@@ -885,33 +885,6 @@ class TestKernelTie:
         assert abs(wrap_angle(g.final_heading_common - mf.final_heading_common)) < 1e-12
 
 
-def plain_run(cfg):
-    """The states (S, 3, n) simulate() records, by the plain RK4 scheme on
-    (theta, x, y) with allocating arithmetic and the program's coupling law,
-    phase._grad: stage headings theta + h k turned into exponents
-    i*(theta + h k). Unlike reference_run's mean-field law -Im(p conj(z)),
-    _grad's Im(conj(p) z) can give a -0.0 command, so this one keeps the
-    sign of every zero."""
-    kvec, omega0, edges, u_max = dynamics._law(cfg)
-    dt = cfg.dt
-
-    def rhs(y):
-        z = np.exp(1j * y[0])
-        u = omega0 + kvec * _grad(z, edges)
-        return np.array([u if u_max is None else np.clip(u, -u_max, u_max), z.real, z.imag])
-
-    y = np.vstack((cfg.theta0, cfg.positions0.T))
-    states = [y]
-    for _ in range(int(cfg.t_max / dt + 1e-9)):
-        k1 = rhs(y)
-        k2 = rhs(y + (0.5 * dt) * k1)
-        k3 = rhs(y + (0.5 * dt) * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(y)
-    return np.array(states[::cfg.record_stride])
-
-
 class TestSignedZeroStages:
     """The fused RK4 step forms its stage exponents as i*theta and
     i*theta + i*(h u), with h u written into an imaginary part. They equal
@@ -954,38 +927,86 @@ class TestSignedZeroStages:
         return [SimulationConfig(**base, theta0=th, **clip.get(kind, {}))
                 for kind, thetas in starts.items() for th in thetas[:runs]]
 
-    @staticmethod
-    def assert_equals_references(cfg, traj, report):
-        """Bit for bit against plain_run, and against reference_run: bit for
-        bit for the neighbour law, equal as numbers (-0.0 == 0.0) for the
-        mean-field law, whose reference computes its zeros with another sign."""
-        states = plain_run(cfg)
-        assert same_bits(traj.theta, states[:, 0]), cfg.theta0
-        assert same_bits(traj.positions, states[:, 1:].transpose(0, 2, 1)), cfg.theta0
-        if cfg.topology is not None:
-            assert_matches_reference(cfg, traj, report)
-        else:
-            ref_states, controls, t_sync, heading, _ = reference_run(cfg)
-            assert np.array_equal(traj.theta, ref_states[:, 0])
-            assert np.array_equal(traj.controls, controls)
-            assert (report.t_sync, report.final_heading_common) == (t_sync, heading)
-
     @pytest.mark.parametrize("topology", ["mean-field", "ring"])
     def test_simulate(self, topology):
         for cfg in self.configs(topology, 3):
-            self.assert_equals_references(cfg, *simulate(cfg))
+            assert_matches_reference(cfg, *simulate(cfg))
 
     @pytest.mark.parametrize("runs", [1, 2, 3])
     @pytest.mark.parametrize("topology", ["mean-field", "ring"])
     def test_simulate_batch(self, topology, runs):
         cfgs = self.configs(topology, runs)
         for cfg, result in zip(cfgs, simulate_batch(cfgs)):
-            self.assert_equals_references(cfg, *result)
+            assert_matches_reference(cfg, *result)
 
     @pytest.mark.parametrize("topology", ["mean-field", "ring"])
     def test_step(self, topology):
         for cfg in self.configs(topology, 3):
-            states = plain_run(dataclasses.replace(cfg, t_max=0.015, record_stride=1))
+            states = reference_run(dataclasses.replace(cfg, t_max=0.015, record_stride=1))[0]
             new = step(SwarmState(0.0, cfg.positions0, cfg.theta0), cfg)
             assert same_bits(new.theta, states[1, 0]), cfg.theta0
             assert same_bits(new.positions, states[1, 1:].T), cfg.theta0
+
+
+# -- metamorphic oracles: symmetries of the closed loop ----------------------
+
+
+def metamorphic_cases():
+    """Twelve seeded runs at n = 6..50 to t_max 40: the mean-field law, and
+    the neighbour law on random connected graphs (a random spanning tree
+    plus n random chords); some turn at omega0 and some saturate."""
+    rng = np.random.default_rng(1010)
+    cases = []
+    for i, n in enumerate((6, 7, 9, 12, 16, 20, 25, 30, 36, 42, 47, 50)):
+        graph = None
+        if i % 2:
+            order = rng.permutation(n)
+            pairs = [(order[k], order[rng.integers(k)]) for k in range(1, n)]
+            pairs += [rng.choice(n, size=2, replace=False) for _ in range(n)]
+            graph = InteractionGraph(n, tuple({(int(min(e)), int(max(e))) for e in pairs}))
+            assert is_connected(graph)
+        clip = dict(u_max=0.5, saturate=True) if i % 3 == 0 else {}
+        cases.append(SimulationConfig(
+            n=n, theta0=rng.uniform(-1.2, 1.2, n) + rng.uniform(-np.pi, np.pi),
+            gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, n))),
+            positions0=rng.uniform(-3.0, 3.0, (n, 2)), topology=graph,
+            omega0=0.3 if i % 4 in (1, 2) else 0.0, t_max=40.0, record_stride=100, **clip))
+    return cases
+
+
+def case_id(cfg):
+    law = "mf" if cfg.topology is None else f"graph{cfg.topology.edge_count}"
+    return f"n{cfg.n}-{law}-w{cfg.omega0:g}-{'sat' if cfg.saturate else 'free'}"
+
+
+class TestMetamorphic:
+    """The closed loop depends on headings only through their differences,
+    and on an agent only through its gain and its edges: turning every
+    heading, or relabelling the agents, must give the same run up to
+    rounding. Neither oracle needs a reference value."""
+
+    @pytest.mark.parametrize("cfg", metamorphic_cases(), ids=case_id)
+    def test_rotation(self, cfg):
+        """theta0 + c turns the final common heading by c, with the same t_sync."""
+        c = 2.0 + 0.1 * cfg.n
+        _, report = simulate(cfg)
+        _, turned = simulate(dataclasses.replace(cfg, theta0=cfg.theta0 + c))
+        assert report.synchronized and turned.t_sync == report.t_sync
+        turn = turned.final_heading_common - report.final_heading_common
+        assert abs(wrap_angle(turn - c)) < 1e-12
+
+    @pytest.mark.parametrize("cfg", metamorphic_cases(), ids=case_id)
+    def test_relabelling(self, cfg):
+        """Agent k of the relabelled run is agent perm[k], with its heading,
+        gain, position and edges: the same t_sync and final common heading."""
+        perm = np.random.default_rng(cfg.n).permutation(cfg.n)
+        label = np.argsort(perm)  # the new label of each old agent
+        graph = None if cfg.topology is None else InteractionGraph(
+            cfg.n, tuple((int(label[j]), int(label[k])) for j, k in cfg.topology.edges))
+        _, report = simulate(cfg)
+        _, relabelled = simulate(dataclasses.replace(
+            cfg, theta0=cfg.theta0[perm], gains=GainVector(cfg.gains.gains[perm]),
+            positions0=cfg.positions0[perm], topology=graph))
+        assert report.synchronized and relabelled.t_sync == report.t_sync
+        moved = relabelled.final_heading_common - report.final_heading_common
+        assert abs(wrap_angle(moved)) < 1e-12
