@@ -6,7 +6,7 @@ CSV/JSON files under the output directory (--out, else $SWARMSYNC_OUT, else
 ./out).
 
 Exit codes: 0 success / synchronized, 2 finished without synchronizing (or a
-scenario check failed), 1 error (an error JSON is printed).
+scenario check failed), 1 error or bad arguments (an error JSON is printed).
 """
 
 from __future__ import annotations
@@ -108,12 +108,21 @@ def run_scenario_cmd(args) -> int:
     return code
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers are built with this class too
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main() call and reused: parsing
     leaves no state in it. Not built at import, which would lengthen every
     import of the package."""
-    parser = argparse.ArgumentParser(prog="swarmsync", description=__doc__)
+    parser = _Parser(prog="swarmsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=True):
@@ -161,8 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, DivergenceError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

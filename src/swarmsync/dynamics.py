@@ -15,7 +15,6 @@ to roundoff); wrapping happens only at reporting boundaries.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -237,44 +236,58 @@ class ConvergenceReport:
         }
 
 
-def _make_rhs(kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
-              u_max: float | None, runs: int, n: int):
-    """The right-hand side of R runs of n agents that share edges and u_max,
-    and the shape of their headings; kvec and omega0 broadcast to (R, n).
+def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
+    """bind(u, z) for R runs of n agents that share u_max, one run per entry
+    of edges (its edge arrays, None for mean-field; mean-field runs first),
+    kvec and omega0 broadcast to (R, n). bind gives a stage's rhs(exponent),
+    which writes exp(exponent) = e^{i theta} into z and the commands into u.
+    Run r's headings are r*n..r*n+n-1 of one flat row, so exp, gains, omega0
+    and clip run once over it. Graph runs take _grad's 1-D bincount over the
+    disjoint union of their edges; mean-field runs _grad's Im(conj(p) z), p a
+    scalar for one run, else a (R_mf, 1) buffer divided by a 0-d complex n."""
+    runs, mf = len(edges), sum(e is None for e in edges)
+    k, n_c = mf * n, np.array(n, dtype=complex)
+    kvec, omega0 = (np.full((runs, n), a, dtype=float).ravel() for a in (kvec, omega0))
+    union = tuple(np.concatenate([e[j] + r * n for r, e in enumerate(edges) if e is not None])
+                  for j in (0, 1)) if mf < runs else None  # run r's nodes offset by r*n
 
-    rhs(exponent, u, z) writes e^{i theta} = exp(exponent) into z and the
-    commands at headings theta into u. Headings are heading-major, run r's
-    agents at r*n..r*n+n-1 of one (R*n,) row, so every ufunc runs over one
-    contiguous row as for one run: the neighbour law sums the disjoint union
-    of the R graphs with _grad's 1-D bincount, each node over its edges in
-    the order of one run. A mean-field batch (R > 1) shapes it (R, n).
-    """
-    heading = (runs, n) if edges is None and runs > 1 else (runs * n,)
-    if edges is not None:  # the disjoint union of the R graphs: run r's nodes offset by r*n
-        offsets = np.arange(0, runs * n, n)[:, None]
-        grad = partial(_grad, edges=tuple((e + offsets).ravel() for e in edges))
-    else:  # _grad's mean-field kernel Im(conj(p) z), written into one buffer
-        w = np.empty(heading, dtype=complex)
-        w_imag, keep = w.imag, runs > 1
+    def bind(u: np.ndarray, z: np.ndarray):
+        w, p = np.empty(k, dtype=complex), np.empty((mf, 1), dtype=complex)
+        zm, zr, w_imag, wr = z[:k], z[:k].reshape(mf, n), w.imag, w.reshape(mf, n)
 
-        def grad(z):
-            np.multiply(np.conj(np.add.reduce(z, -1, None, None, keep) / n), z, w)
+        def one_mean():  # a scalar mean: faster than the buffer for one run
+            np.multiply(np.conj(np.add.reduce(zm, -1, None, None, False) / n), zm, w)
             return w_imag
-    kvec, omega0 = (np.full((runs, n), a, dtype=float).reshape(heading) for a in (kvec, omega0))
 
-    def rhs(exponent: np.ndarray, u: np.ndarray, z: np.ndarray) -> None:
-        np.exp(exponent, z)
-        np.multiply(kvec, grad(z), u)
-        np.add(omega0, u, u)
-        if u_max is not None:
-            np.clip(u, -u_max, u_max, u)
+        def means():  # a mean per run
+            np.add.reduce(zr, -1, None, p, True)
+            np.multiply(np.conjugate(np.divide(p, n_c, p), p), zr, wr)
+            return w_imag
 
-    return rhs, heading
+        def mixed():
+            g = _grad(z, union)
+            g[:k] = mean()
+            return g
+
+        mean = one_mean if mf == 1 else means
+        grad = mean if mf == runs else partial(_grad, z, union) if mf == 0 else mixed
+
+        def rhs(exponent: np.ndarray) -> None:
+            np.exp(exponent, z)
+            np.multiply(kvec, grad(), u)
+            np.add(omega0, u, u)
+            if u_max is not None:
+                np.clip(u, -u_max, u_max, u)
+
+        return rhs
+
+    return bind
 
 
-def _rk4_step(rhs, dt: float, heading: tuple[int, ...]):
+def _rk4_step(bind, dt: float, m: int):
     """step(y, out): one classical RK4 step of dt from the flat state y into
-    out, through buffers allocated once here.
+    out, through buffers allocated once here and the rhs of _make_rhs's bind
+    bound to each stage's buffers once.
 
     A state is [theta | x0, y0, x1, y1, ...], 3m floats for m headings, so
     the position part of a stage derivative k, k[m:] viewed as complex, is
@@ -283,24 +296,22 @@ def _rk4_step(rhs, dt: float, heading: tuple[int, ...]):
     part stays +-0, or nan for a non-finite theta): the floats of i*(theta
     + h u), as both turn -0.0 into +0.0. Each operation writes into a buffer
     in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's."""
-    m = math.prod(heading)
     k1, k2, k3, k4 = ks = [np.empty(3 * m) for _ in range(4)]
-    (u1, z1), (u2, z2), (u3, z3), (u4, z4) = (
-        (k[:m].reshape(heading), k[m:].view(complex).reshape(heading)) for k in ks)
-    itheta, stage = np.empty(m, dtype=complex), np.zeros(heading, dtype=complex)
-    itheta_h, stage_imag = itheta.reshape(heading), stage.imag
+    (u1, f1), (u2, f2), (u3, f3), (_, f4) = (
+        (k[:m], bind(k[:m], k[m:].view(complex))) for k in ks)
+    itheta, stage = np.empty(m, dtype=complex), np.zeros(m, dtype=complex)
+    stage_imag = stage.imag
     i1, half, full = np.array(1j), np.array(0.5 * dt), np.array(dt)  # 0-d: faster ufunc calls
     sixth, two = np.array(dt / 6.0), np.array(2.0)
 
     def step(y: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(i1, y[:m], itheta)
-        rhs(itheta_h, u1, z1)
+        f1(np.multiply(i1, y[:m], itheta))
         np.multiply(half, u1, stage_imag)
-        rhs(np.add(itheta_h, stage, stage), u2, z2)
+        f2(np.add(itheta, stage, stage))
         np.multiply(half, u2, stage_imag)
-        rhs(np.add(itheta_h, stage, stage), u3, z3)
+        f3(np.add(itheta, stage, stage))
         np.multiply(full, u3, stage_imag)
-        rhs(np.add(itheta_h, stage, stage), u4, z4)
+        f4(np.add(itheta, stage, stage))
         np.add(k1, np.multiply(two, k2, k2), k1)
         np.add(k1, np.multiply(two, k3, k3), k1)
         np.add(k1, k4, k1)
@@ -351,25 +362,24 @@ def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray
     return states[..., :m].reshape(*lead, runs, n), states[..., m:].reshape(*lead, runs, n, 2)
 
 
-def _integrate(y0: np.ndarray, kvec, omega0, edges: tuple[np.ndarray, np.ndarray] | None,
-               u_max: float | None, dt: float, n_steps: int, stride: int):
-    """Integrate R runs of the closed loop that share edges, u_max, dt, the
-    step count and the stride, from the joint states y0 of shape (3, R, n)
-    (run r's theta, x and y at [:, r]), with gains kvec and turn rates omega0
-    that broadcast to (R, n).
+def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, dt: float,
+               n_steps: int, stride: int):
+    """Integrate R runs of the closed loop that share u_max, dt, the step
+    count and the stride, from the joint states y0 of shape (3, R, n) (run
+    r's theta, x and y at [:, r]), with gains kvec and turn rates omega0 that
+    broadcast to (R, n) and the runs' edges as _make_rhs takes them.
 
     The runs are one flat state (see _rk4_step, _make_rhs), so a step of a
-    few small runs costs about one step of one run. Steps fill a block; each
-    block goes through the sync observer at once, and its states at
-    multiples of ``stride`` steps are recorded and checked finite. Returns
-    views of the recorded headings (S, R, n) and positions (S, R, n, 2) and
-    of the final headings (R, n), and per run (R,) the sync time and the
-    time of its first non-finite recorded or final state, nan for none.
+    few small runs of either law costs about one step of one run. Steps
+    fill a block; each block goes through the sync observer at once, and its
+    states at multiples of ``stride`` steps are recorded and checked finite.
+    Returns views of the recorded headings (S, R, n) and positions (S, R, n,
+    2) and of the final headings (R, n), and per run (R,) the sync time and
+    the time of its first non-finite recorded or final state, nan for none.
     Stops early once every run has diverged.
     """
     _, runs, n = y0.shape
-    rhs, heading = _make_rhs(kvec, omega0, edges, u_max, runs, n)
-    step = _rk4_step(rhs, dt, heading)
+    step = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n), dt, runs * n)
     states = np.empty((n_steps // stride + 1, 3 * runs * n))
     slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
     block = np.empty((slots, 3 * runs * n))
@@ -430,9 +440,9 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme: the first step
     simulate() takes from this state, bit for bit."""
     y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
-    rhs, heading = _make_rhs(*_law(cfg), 1, cfg.n)
+    kvec, omega0, edges, u_max = _law(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_step(rhs, cfg.dt, heading)(y, y)
+        _rk4_step(_make_rhs(kvec, omega0, [edges], u_max, cfg.n), cfg.dt, cfg.n)(y, y)
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
     return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])
@@ -480,9 +490,10 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     """simulate() for each config, in input order, each result equal to
     simulate(cfg) bit for bit.
 
-    Configs that share n, topology, dt, t_max, record_stride and the clip
-    limit (u_max when saturating) are integrated as one batch (see
-    _integrate) and share the per-step cost; simulate() is a batch of one.
+    Configs that share n, dt, t_max, record_stride and the clip limit
+    (u_max when saturating) are integrated as one batch (see _integrate),
+    whatever their topologies, mean-field runs first, and share the per-step
+    cost; simulate() is a batch of one.
     Every config is checked against the budgets before any run starts; the
     first one rejected raises simulate's ValueError. When runs diverge, the
     DivergenceError simulate raises for the first such config in input order
@@ -494,22 +505,20 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         limit = cfg.u_max if cfg.saturate else None
-        groups.setdefault((cfg.n, cfg.topology, cfg.dt, cfg.t_max, cfg.record_stride, limit),
-                          []).append(i)
+        groups.setdefault((cfg.n, cfg.dt, cfg.t_max, cfg.record_stride, limit), []).append(i)
     results: list = [None] * len(cfgs)
     diverged: dict[int, float] = {}
-    for rows in groups.values():
-        lead = cfgs[rows[0]]
+    for (n, dt, _, stride, u_max), rows in groups.items():
+        rows.sort(key=lambda i: cfgs[i].topology is not None)  # mean-field runs first
         n_steps, n_samples = counts[rows[0]]
-        _, _, edges, u_max = _law(lead)
         # one batch records no more values than one run at the record budget
-        size = max(1, RECORD_BUDGET // (n_samples * lead.n))
+        size = max(1, RECORD_BUDGET // (n_samples * n))
         for chunk in (rows[lo:lo + size] for lo in range(0, len(rows), size)):
             run = _integrate(
                 np.stack([starts[i] for i in chunk], axis=1),
                 np.stack([cfgs[i].gains.gains for i in chunk]),
                 np.array([[cfgs[i].omega0] for i in chunk]),
-                edges, u_max, lead.dt, n_steps, lead.record_stride)
+                [_law(cfgs[i])[2] for i in chunk], u_max, dt, n_steps, stride)
             for b, i in enumerate(chunk):
                 if np.isnan(run[-1][b]):
                     results[i] = _outcome(cfgs[i], n_steps, run, b)

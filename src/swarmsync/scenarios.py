@@ -3,9 +3,10 @@
 Each scenario bundles one or more closed-loop runs with the checks its
 outcome is expected to satisfy, and writes per-run trajectory/convergence
 files plus a scenario-level summary. A scenario's runs go through one
-simulate_batch call, so runs that share a kernel (n, graph, dt, t_max,
-stride and clip limit, such as the two mean-field and the two ring runs of
-sim1) are integrated together, each equal to its own simulate() bit for bit.
+simulate_batch call, so runs that share n, dt, t_max, stride and clip limit
+are integrated together whatever their law, each equal to its own simulate()
+bit for bit: sim1 and sim1-omega are one batch of four mean-field and ring
+runs each, and sim3-caps and sim3-sat one batch of two.
 
     sim1        six agents, heterogeneous negative gain sets, straight-line
                 motion, mean-field vs ring coupling

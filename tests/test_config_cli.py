@@ -311,6 +311,37 @@ class TestCliCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theta_c_deg"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--config", "CFG", "--target-deg", "1", "--c", "-1e-3"],
+        ["bogus"],
+        ["simulate", "--config", "CFG", "--dt", "abc"],
+        ["simulate", "--config", "CFG", "--t-max"],
+        ["simulate", "--config", "CFG", "--unknown", "1"],
+        ["scenario", "no-such-scenario"],
+        ["predict"],
+        [],
+    ], ids=["negative-c", "unknown-command", "bad-float", "missing-value", "unknown-option",
+            "unknown-scenario", "missing-config", "no-command"])
+    def test_argument_errors_exit_one_with_error_json(self, tmp_path, capsys, argv):
+        """Exit 2 means a run finished without synchronizing, so a command
+        line the parser rejects gives the error JSON and exit 1, with
+        nothing on stderr and nothing written."""
+        cfg = str(write_config(tmp_path, BASE_DOC))
+        out = tmp_path / "out"
+        argv = [cfg if a == "CFG" else a for a in argv]
+        assert main([*argv, "--out", str(out)] if argv else argv) == 1
+        captured = capsys.readouterr()
+        err = strict_json(captured.out)["error"]
+        assert err["type"] == "UsageError" and err["message"].startswith("swarmsync")
+        assert captured.err == ""
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: swarmsync simulate")
+
 
 class TestScenario:
     def test_sim2_scenario(self, tmp_path):
@@ -356,9 +387,10 @@ class TestScenario:
         for rel in files:
             assert (batched / rel).read_bytes() == (ref / rel).read_bytes(), rel
 
-    def test_sim1_integrates_in_two_calls(self, tmp_path, monkeypatch):
-        """The two mean-field runs share one kernel, and the two ring runs
-        another."""
+    @pytest.mark.parametrize("name, rows", [("sim1", 4), ("sim3-caps", 2), ("sim3-sat", 2)],
+                             ids=["sim1", "sim3-caps", "sim3-sat"])
+    def test_scenario_integrates_in_one_call(self, tmp_path, monkeypatch, name, rows):
+        """The mean-field and ring runs of a scenario share one batch."""
         calls = []
         integrate = dynamics._integrate
 
@@ -367,8 +399,8 @@ class TestScenario:
             return integrate(y0, *args)
 
         monkeypatch.setattr(dynamics, "_integrate", counted)
-        run_scenario("sim1", tmp_path, t_max=2.0)
-        assert calls == [2, 2]
+        run_scenario(name, tmp_path, t_max=2.0)
+        assert calls == [rows]
 
     @pytest.mark.filterwarnings("error")
     def test_diverging_run_writes_nothing(self, tmp_path, capsys, monkeypatch):

@@ -778,6 +778,23 @@ class TestIntegratorCore:
         with pytest.raises(DivergenceError) as exc:
             simulate_batch([ok, late, soon, ok])
         assert str(exc.value) == errors[0]
+        # one group of mean-field and ring runs, integrated mean-field first:
+        # still the error of the first diverging config in input order
+        three = dict(n=3, theta0=np.array([0.0, 0.5, 1.5]), t_max=3.0)
+        ring = make_config(**three, gains=GainVector([-1e308] * 3), topology=ring_graph(3))
+        mean_field = dataclasses.replace(ring, topology=None)
+        ok = make_config(**three, gains=GainVector([-1.0] * 3))
+        errors = []
+        for cfg in (ring, mean_field):
+            with pytest.raises(DivergenceError) as exc:
+                simulate(cfg)
+            errors.append(str(exc.value))
+        assert errors[0] != errors[1]
+        for cfgs, error in (([ok, ring, mean_field, ok], errors[0]),
+                            ([mean_field, ok, ring], errors[1])):
+            with pytest.raises(DivergenceError) as exc:
+                simulate_batch(cfgs)
+            assert str(exc.value) == error
 
     def test_diverging_run_warns_nothing(self):
         """The finite checks report an overflowing run as DivergenceError;
@@ -815,20 +832,27 @@ class TestHeadingMajorBatch:
             "positions0": np.arange(12.0).reshape(6, 2), "t_max": 8.0, "record_stride": 3,
             **self.KINDS[kind], **kw})
 
+    # "mixed": the ring-omega0 runs on a ring, no graph and an edge list in
+    # turn, so a graph run comes before a mean-field run in input order
+    MIXED = (ring_graph(6), None, edge_list_graph(6))
+
     @pytest.mark.parametrize("runs", [1, 2, 3])
-    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("kind", [*KINDS, "mixed"])
     def test_rows_equal_simulate(self, monkeypatch, kind, runs):
         """A group of one (with its batch axis), two and three runs that differ
-        in theta0, gains, positions0, omega0 and seed: one _integrate call,
-        and every row equal to its own simulate() bit for bit."""
+        in theta0, gains, positions0, omega0 and seed, and for "mixed" in
+        their topology: one _integrate call, and every row equal to its own
+        simulate() bit for bit."""
         rng = np.random.default_rng(runs)
-        base = self.base_config(kind)
+        base = self.base_config("ring-omega0" if kind == "mixed" else kind)
         cfgs = [base] + [dataclasses.replace(base, theta0=rng.uniform(-1.2, 1.2, 6),
                                              gains=GainVector(-rng.uniform(0.3, 3.0, 6)),
                                              positions0=rng.uniform(-4.0, 4.0, (6, 2)),
                                              omega0=base.omega0 + rng.uniform(-0.3, 0.3),
                                              seed=r)
                          for r in range(runs - 1)]
+        if kind == "mixed":
+            cfgs = [dataclasses.replace(c, topology=g) for c, g in zip(cfgs, self.MIXED)]
         calls = []
         integrate = dynamics._integrate
 
@@ -840,6 +864,34 @@ class TestHeadingMajorBatch:
         results = simulate_batch(cfgs)
         assert calls == [(3, runs, 6)]
         monkeypatch.undo()
+        for cfg, result in zip(cfgs, results):
+            assert_same_run(result, simulate(cfg))
+
+    def test_record_budget_splits_a_mixed_group(self, monkeypatch):
+        """Five runs of one group, graph runs before mean-field runs in input
+        order, under a record budget of two runs: sorted mean-field first,
+        then split into batches of two, two and one, each one _integrate
+        call, and every row equal to its own simulate() bit for bit."""
+        rng = np.random.default_rng(12)
+        base = self.base_config("ring-omega0", t_max=2.0, record_stride=1)
+        cfgs = [dataclasses.replace(base, topology=graph, theta0=rng.uniform(-1.2, 1.2, 6),
+                                    gains=GainVector(-rng.uniform(0.3, 3.0, 6)),
+                                    positions0=rng.uniform(-4.0, 4.0, (6, 2)),
+                                    omega0=float(rng.uniform(-0.5, 0.5)))
+                for graph in (ring_graph(6), None, edge_list_graph(6), ring_graph(6), None)]
+        _, samples = dynamics._step_counts(base)
+        monkeypatch.setattr(dynamics, "RECORD_BUDGET", 2 * samples * 6 + 1)
+        calls = []
+        integrate = dynamics._integrate
+
+        def counted(y0, kvec, omega0, edges, *args):
+            calls.append([e is None for e in edges])
+            return integrate(y0, kvec, omega0, edges, *args)
+
+        monkeypatch.setattr(dynamics, "_integrate", counted)
+        results = simulate_batch(cfgs)
+        assert calls == [[True, True], [False, False], [False]]
+        monkeypatch.setattr(dynamics, "_integrate", integrate)
         for cfg, result in zip(cfgs, results):
             assert_same_run(result, simulate(cfg))
 
@@ -910,9 +962,11 @@ class TestSignedZeroStages:
         it (its mean-field command is then -0.0), all-equal headings,
         headings at +-pi and saturation; omega0 = -0.0 and -0.0 in the
         positions throughout. Each kind gives up to three runs that share a
-        kernel."""
-        graph = None if topology == "mean-field" else ring_graph(3)
-        base = dict(n=3, gains=GainVector([-1.0, -0.5, -2.0]), topology=graph, omega0=-0.0,
+        kernel; "mixed" runs each start on a ring, on a path and under the
+        mean-field law, all in one batch, graph runs first in input order."""
+        graphs = {"mean-field": [None], "ring": [ring_graph(3)],
+                  "mixed": [ring_graph(3), InteractionGraph(3, ((0, 1), (1, 2))), None]}
+        base = dict(n=3, gains=GainVector([-1.0, -0.5, -2.0]), omega0=-0.0,
                     positions0=np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -0.0]]), t_max=2.0,
                     record_stride=3)
         starts = {
@@ -924,8 +978,9 @@ class TestSignedZeroStages:
                           np.array([-0.0, -0.0, 3.0])],
         }
         clip = {"saturated": dict(u_max=0.1, saturate=True)}
-        return [SimulationConfig(**base, theta0=th, **clip.get(kind, {}))
-                for kind, thetas in starts.items() for th in thetas[:runs]]
+        return [SimulationConfig(**base, theta0=th, topology=graph, **clip.get(kind, {}))
+                for kind, thetas in starts.items() for th in thetas[:runs]
+                for graph in graphs[topology]]
 
     @pytest.mark.parametrize("topology", ["mean-field", "ring"])
     def test_simulate(self, topology):
@@ -933,7 +988,7 @@ class TestSignedZeroStages:
             assert_matches_reference(cfg, *simulate(cfg))
 
     @pytest.mark.parametrize("runs", [1, 2, 3])
-    @pytest.mark.parametrize("topology", ["mean-field", "ring"])
+    @pytest.mark.parametrize("topology", ["mean-field", "ring", "mixed"])
     def test_simulate_batch(self, topology, runs):
         cfgs = self.configs(topology, runs)
         for cfg, result in zip(cfgs, simulate_batch(cfgs)):
