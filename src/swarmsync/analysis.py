@@ -20,7 +20,7 @@ All angles here are radians; results are wrapped to (-pi, pi].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,16 +137,7 @@ class ReachabilityReport:
     span: float
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "target_deg": float(np.degrees(self.target)),
-            "interval_rotated": list(self.interval_rotated),
-            "interval_standard": list(self.interval_standard),
-            "reachable_negative_gains": self.reachable_negative_gains,
-            "reachable_two_agent_extended": self.reachable_two_agent_extended,
-            "theta_R": self.theta_R,
-            "span": self.span,
-        }
+        return {**asdict(self), "target_deg": float(np.degrees(self.target))}
 
 
 def _finite_target(target) -> None:
@@ -276,17 +267,7 @@ class PerturbationBounds:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "mean_direction": self.mean_direction,
-            "mean_direction_deg": float(np.degrees(self.mean_direction)),
-            "delta_lower": self.delta_lower,
-            "delta_upper": self.delta_upper,
-            "admissible_lo": self.admissible_lo,
-            "admissible_hi": self.admissible_hi,
-            "theta_R": self.theta_R,
-            "span": self.span,
-        }
+        return {**asdict(self), "mean_direction_deg": float(np.degrees(self.mean_direction))}
 
 
 def perturbation_bounds(theta0, eta: float) -> PerturbationBounds:
@@ -425,11 +406,7 @@ class CriticalPointConfig:
     kind: CriticalKind
 
     def to_dict(self) -> dict:
-        return {
-            "antipodal_count": self.antipodal_count,
-            "p_mag": self.p_mag,
-            "kind": self.kind.value,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfig:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -23,16 +23,15 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, dump_config, load_config, with_overrides
-from .dynamics import DivergenceError, SimulationConfig, simulate, write_run
+from .dynamics import DivergenceError, SimulationConfig, _json_text, simulate, write_run
 from .scenarios import SCENARIOS, run_scenario
 
 DEFAULT_OUT = "out"
 
 
 def _emit(obj) -> None:
-    # allow_nan=False: a NaN or infinity becomes a ValueError (the error JSON), never
-    # the NaN/Infinity tokens, which are not JSON
-    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+    # flushed here, so a closed stdout raises inside main, not at exit
+    print(_json_text(obj), flush=True)
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -74,7 +73,7 @@ def run_synthesize(args) -> int:
     out = _out_dir(args.out)
     synth_cfg = dataclasses.replace(cfg, gains=gains)
     cfg_path = out / "config_synthesized.json"
-    cfg_path.write_text(json.dumps(dump_config(synth_cfg), indent=2, sort_keys=True))
+    cfg_path.write_text(_json_text(dump_config(synth_cfg)))
     _emit(
         {
             "gains": gains.gains.tolist(),
@@ -112,8 +111,17 @@ class UsageError(ValueError):
     """A command line the parser rejects."""
 
 
+# every negative number float() reads: argparse's own test takes only the
+# -1 and -1.5 forms, so it read `--c -1e-3` or `--c -inf` as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # subparsers are built with this class too
+    def __init__(self, *args, **kwargs):  # subparsers are built with this class too
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
@@ -173,6 +181,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout, so no error JSON can reach it; stdout goes
+        # to devnull, or the flush at interpreter exit would raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, ValueError, DivergenceError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -223,17 +223,9 @@ class ConvergenceReport:
     max_heading_spread_final: float
 
     def to_dict(self) -> dict:
-        return {
-            "synchronized": self.synchronized,
-            "t_sync": self.t_sync,
-            "final_heading_common": self.final_heading_common,
-            "final_heading_common_deg": (
-                None
-                if self.final_heading_common is None
-                else float(np.degrees(self.final_heading_common))
-            ),
-            "max_heading_spread_final": self.max_heading_spread_final,
-        }
+        heading = self.final_heading_common
+        return {**asdict(self),
+                "final_heading_common_deg": None if heading is None else float(np.degrees(heading))}
 
 
 def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
@@ -558,5 +550,13 @@ def write_run(run_dir, traj: TrajectoryRecord,
     csv_path = run_dir / "trajectory.csv"
     json_path = run_dir / "convergence.json"
     traj.to_csv(csv_path)
-    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    json_path.write_text(_json_text(report.to_dict()))
     return csv_path, json_path
+
+
+def _json_text(obj) -> str:
+    """obj as the JSON of every file the package writes and everything the
+    CLI prints: indented, keys sorted. allow_nan=False: a NaN or infinity
+    raises ValueError (the CLI's error JSON), never the NaN/Infinity tokens,
+    which are not JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)

@@ -21,7 +21,6 @@ runs each, and sim3-caps and sim3-sat one batch of two.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .analysis import predict_direction
 from .angles import wrap_angle
 from .config import with_overrides
 from .control import GainVector, named_gain_set
-from .dynamics import SimulationConfig, simulate_batch, write_run
+from .dynamics import SimulationConfig, _json_text, simulate_batch, write_run
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # scenarios.simulate by name.
 from .dynamics import simulate  # noqa: F401
@@ -211,6 +210,6 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
         "checks": checks,
         "observations": observations,
     }
-    (base / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (base / "summary.json").write_text(_json_text(summary))
     code = 0 if all(checks.values()) else 2
     return code, summary

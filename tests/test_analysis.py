@@ -10,6 +10,7 @@ from swarmsync import (
     CriticalKind,
     CriticalPointConfig,
     GainVector,
+    InteractionGraph,
     NonAcuteConeError,
     SimulationConfig,
     alignment_potential,
@@ -17,6 +18,7 @@ from swarmsync import (
     conic_hull_contains,
     convex_weights,
     critical_point_hessian,
+    is_connected,
     is_reachable,
     laplacian,
     laplacian_potential_grad,
@@ -163,6 +165,38 @@ class TestPredictDirection:
             inv = 1.0 / k
             hat_c = (frame.theta_hat0 @ inv) / inv.sum()
             assert 0.0 < hat_c < frame.span
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree on n nodes plus up to n - 1 random chords."""
+    order = rng.permutation(n)
+    pairs = [(order[k], order[rng.integers(k)]) for k in range(1, n)]
+    pairs += [rng.choice(n, size=2, replace=False) for _ in range(int(rng.integers(0, n)))]
+    graph = InteractionGraph(n, tuple({(int(min(e)), int(max(e))) for e in pairs}))
+    assert is_connected(graph)
+    return graph
+
+
+class TestGraphDirection:
+    """On a connected undirected graph the neighbour law keeps the sum of
+    theta_k / K_k (each edge's two terms cancel), so the 1/K-weighted
+    closed-form direction is where the run synchronizes, as for the
+    mean-field law (Olfati-Saber, Fax and Murray, Proc. IEEE 2007)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_run_synchronizes_at_the_predicted_direction(self, seed):
+        rng = np.random.default_rng(2007 + seed)
+        n = 3 + seed % 10
+        theta0, _ = random_acute_headings(rng, n)
+        gains = GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, n)))
+        cfg = SimulationConfig(n=n, theta0=theta0, gains=gains,
+                               topology=random_connected_graph(rng, n),
+                               dt=0.05, t_max=150.0, record_stride=50)
+        traj, report = simulate(cfg)
+        assert report.synchronized
+        error = wrap_angle(report.final_heading_common - predict_direction(theta0, gains))
+        assert abs(error) < 1e-3
+        assert np.max(np.abs(traj.conserved - traj.conserved[0])) < 1e-6
 
 
 class TestConvexWeights:

@@ -1,10 +1,13 @@
 """Config ingestion, CLI subcommands, exit codes, and scenario execution."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,7 +25,7 @@ from swarmsync import (
     parse_config,
     run_scenario,
 )
-from swarmsync import cli, config, dynamics, scenarios, synthesize_gains
+from swarmsync import analysis, cli, config, dynamics, scenarios, synthesize_gains
 from swarmsync.cli import main
 from swarmsync.config import with_overrides
 from swarmsync.dynamics import STEP_BUDGET, SimulationConfig, _step_counts, simulate, write_run
@@ -41,15 +44,16 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return path
 
 
-def run_fresh(args):
+def run_fresh(args, stdout=subprocess.PIPE, **env):
     """``python <args>`` in a new interpreter that imports the package from
-    where this process found it."""
+    where this process found it, with env added to its environment."""
     src = str(Path(swarmsync.__file__).parents[1])
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
 
@@ -312,7 +316,7 @@ class TestCliCommands:
         assert json.loads(proc.stdout)["theta_c_deg"] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("argv", [
-        ["synthesize", "--config", "CFG", "--target-deg", "1", "--c", "-1e-3"],
+        ["synthesize", "--config", "CFG", "--target-deg", "1", "--c", "-x"],
         ["bogus"],
         ["simulate", "--config", "CFG", "--dt", "abc"],
         ["simulate", "--config", "CFG", "--t-max"],
@@ -320,7 +324,7 @@ class TestCliCommands:
         ["scenario", "no-such-scenario"],
         ["predict"],
         [],
-    ], ids=["negative-c", "unknown-command", "bad-float", "missing-value", "unknown-option",
+    ], ids=["dash-value", "unknown-command", "bad-float", "missing-value", "unknown-option",
             "unknown-scenario", "missing-config", "no-command"])
     def test_argument_errors_exit_one_with_error_json(self, tmp_path, capsys, argv):
         """Exit 2 means a run finished without synchronizing, so a command
@@ -341,6 +345,30 @@ class TestCliCommands:
             main(["simulate", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: swarmsync simulate")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv,written", [
+        (["simulate"], ["trajectory.csv", "convergence.json"]),
+        (["synthesize", "--target-deg", "1", "--c", "-1e-3"], ["config_synthesized.json"]),
+    ], ids=["simulate", "synthesize"])
+    def test_closed_stdout_exits_one_quietly(self, tmp_path, argv, written, unbuffered):
+        """A reader that has closed stdout before the JSON is printed (`| head`
+        that has exited): exit 1 with nothing on stderr, where a second
+        attempt to print the error JSON once raised out of main, and a
+        buffered stdout fails again at exit. The files the command wrote
+        stay."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "t_max": 2.0})
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_fresh(["-m", "swarmsync.cli", *argv, "--config", str(cfg),
+                              "--out", str(tmp_path / "out")], stdout=write,
+                             PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        for name in written:
+            assert (tmp_path / "out" / name).is_file(), name
 
 
 class TestScenario:
@@ -420,6 +448,125 @@ class TestScenario:
         err = strict_json(capsys.readouterr().out)["error"]
         assert err["type"] == "DivergenceError"
         assert list(out.iterdir()) == []
+
+
+SIX_DOC = {**BASE_DOC, "n": 6, "theta0_deg": [-60, -45, -30, 30, 45, 60], "gains": "set1",
+           "t_max": 40.0}
+
+THETA6 = np.deg2rad(SIX_DOC["theta0_deg"])
+
+# each report: a function making one, the one entry its to_dict() adds to its fields
+# (kind replaces the enum by its string), and the README outputs-table row
+# of its keys
+REPORTS = {
+    dynamics.ConvergenceReport: (lambda: simulate(parse_config(SIX_DOC))[1],
+                                 "final_heading_common_deg", "`convergence.json`"),
+    analysis.ReachabilityReport: (lambda: swarmsync.is_reachable(THETA6, 0.1),
+                                  "target_deg", "`reachable` stdout"),
+    analysis.PerturbationBounds: (lambda: swarmsync.perturbation_bounds(THETA6, 0.3),
+                                  "mean_direction_deg", "`perturb` stdout"),
+    analysis.CriticalPointConfig: (
+        lambda: swarmsync.classify_critical_point(np.deg2rad([25.0, 25.0, 205.0])),
+        "kind", "`classify` stdout"),
+}
+
+
+def json_keys(doc: dict) -> set:
+    """The keys of a CLI JSON object, with those of the error JSON's object."""
+    return set(doc) | set(doc.get("error", ()))
+
+
+@pytest.fixture(scope="module")
+def scenario_outputs(tmp_path_factory):
+    """Each bundled scenario through the CLI at full length: its exit code,
+    its stdout and its output directory."""
+    out = tmp_path_factory.mktemp("scenarios")
+    runs = {}
+    for name in sorted(SCENARIOS):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["scenario", name, "--out", str(out)])
+        runs[name] = code, buf.getvalue(), out / name
+    return runs
+
+
+def command_outputs(tmp_path, capsys) -> dict[str, list[str]]:
+    """The JSON texts of the commands other than scenario, by the README
+    outputs-table row that lists their keys; synthesize also writes
+    tmp_path/out/config_synthesized.json."""
+    six = str(write_config(tmp_path, SIX_DOC, "six.json"))
+    sync = str(write_config(tmp_path, {**BASE_DOC, "theta0_deg": [25, 25]}, "sync.json"))
+    saddle = str(write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": [25, 25, 205],
+                                         "gains": [-1, -1, -1]}, "saddle.json"))
+    out = tmp_path / "out"
+    texts: dict[str, list[str]] = {}
+
+    def run(row, *argv, code=0):
+        assert main(list(argv)) == code, argv
+        texts.setdefault(row, []).append(capsys.readouterr().out)
+
+    run("`simulate` stdout", "simulate", "--config", six, "--out", str(out))
+    texts["`convergence.json`"] = [(out / "convergence.json").read_text()]
+    run("`predict` stdout", "predict", "--config", six)
+    for target in ("10", "120"):
+        run("`reachable` stdout", "reachable", "--config", six, "--target-deg", target)
+    run("`synthesize` stdout", "synthesize", "--config", six, "--target-deg", "10",
+        "--out", str(out))
+    run("`perturb` stdout", "perturb", "--config", six, "--eta", "0.3")
+    for cfg in (sync, saddle):
+        run("`classify` stdout", "classify", "--config", cfg)
+    run("any command, exit 1", "classify", "--config", six, code=1)
+    run("any command, exit 1", "reachable", "--config", six, "--target-deg", "nan", code=1)
+    return texts
+
+
+class TestOutputs:
+    """Each report's JSON is its fields plus one entry, and every JSON text
+    the CLI prints or writes is strict JSON, with the keys README lists."""
+
+    @pytest.mark.parametrize("cls", REPORTS, ids=lambda cls: cls.__name__)
+    def test_to_dict_is_the_fields_and_one_entry(self, cls):
+        make, extra, _ = REPORTS[cls]
+        out = make().to_dict()
+        assert set(out) == {f.name for f in dataclasses.fields(cls)} | {extra}
+        strict_json(dynamics._json_text(out))
+
+    def test_command_outputs_are_strict_json(self, tmp_path, capsys):
+        for texts in command_outputs(tmp_path, capsys).values():
+            for text in texts:
+                strict_json(text)
+        synthesized = strict_json((tmp_path / "out" / "config_synthesized.json").read_text())
+        assert set(synthesized) == set(config._FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_outputs_are_strict_json(self, scenario_outputs, name):
+        code, stdout, out = scenario_outputs[name]
+        assert code == 0
+        assert strict_json((out / "summary.json").read_text()) == strict_json(stdout)
+        runs = sorted(p.parent.name for p in out.glob("*/convergence.json"))
+        assert runs == sorted(strict_json(stdout)["runs"])
+        for run in runs:
+            strict_json((out / run / "convergence.json").read_text())
+
+    def test_readme_table_lists_the_keys(self, tmp_path, capsys, scenario_outputs):
+        """Each row of README's outputs table lists the keys the CLI gives,
+        and a report's row its fields plus its one extra entry."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Outputs", 1)[1]
+        table = next(b for b in section.split("\n\n") if b.startswith("| output"))
+        listed = {}
+        for row in table.splitlines()[2:]:
+            label, keys = row.strip("| ").split(" | ")
+            listed[label] = set(re.findall(r"`([^`]+)`", keys))
+        given = {row: set().union(*(json_keys(json.loads(t)) for t in texts))
+                 for row, texts in command_outputs(tmp_path, capsys).items()}
+        summaries = [json.loads(stdout) for _, stdout, _ in scenario_outputs.values()]
+        given["`summary.json`, `scenario` stdout"] = set().union(*map(set, summaries))
+        given["a run in `summary.json`"] = {key for summary in summaries
+                                            for run in summary["runs"].values() for key in run}
+        assert listed == given
+        for cls, (_, extra, row) in REPORTS.items():
+            assert listed[row] == {f.name for f in dataclasses.fields(cls)} | {extra}
 
 
 class TestRejectedInputs:
@@ -823,6 +970,46 @@ class TestCliFuzz:
             traj, _ = simulate(parse_config(doc))
         assert {w.category for w in caught} == {UserWarning}
         assert np.abs(traj.controls).max() == doc["u_max"] and traj.saturated[:, 1].any()
+
+    ARG_MENU = {
+        "negative-scientific": "-1e-3",
+        "-inf": "-inf",
+        "inf": "inf",
+        "nan": "nan",
+        "-0.0": "-0.0",
+        "1e308": "1e308",
+        "non-number": "x",
+    }
+    # each numeric option on each command that takes it, after the other
+    # arguments the command requires
+    ARG_CASES = {
+        "simulate-dt": ["simulate", "--dt"],
+        "simulate-t-max": ["simulate", "--t-max"],
+        "simulate-seed": ["simulate", "--seed"],
+        "reachable-target-deg": ["reachable", "--target-deg"],
+        "synthesize-target-deg": ["synthesize", "--target-deg"],
+        "synthesize-c": ["synthesize", "--target-deg", "1", "--c"],
+        "perturb-eta": ["perturb", "--eta"],
+    }
+
+    @pytest.mark.parametrize("argv", ARG_CASES.values(), ids=ARG_CASES)
+    def test_argument_values_run_or_fail_cleanly(self, tmp_path, capsys, argv):
+        """Each menu value, given as the option's next argument: the command
+        runs, or prints the error JSON with exit 1, and nothing goes to
+        stderr. A number, negative ones included, is a value the command
+        reads, never an option the parser cannot match."""
+        cfg = str(write_config(tmp_path, fuzz_doc(0)))
+        for label, value in self.ARG_MENU.items():
+            out = tmp_path / label
+            code = main([argv[0], "--config", cfg, "--out", str(out), *argv[1:], value])
+            captured = capsys.readouterr()
+            stdout = strict_json(captured.out)
+            assert captured.err == "", label
+            if code == 1:
+                assert set(stdout) == {"error"} and set(stdout["error"]) == {"type", "message"}
+                assert "expected one argument" not in stdout["error"]["message"], label
+            else:
+                assert code in (0, 2) and "error" not in stdout, label
 
     @pytest.mark.parametrize("path,value", [
         (("topology", "edges", 0, 1), math.inf),
