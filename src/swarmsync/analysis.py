@@ -140,9 +140,17 @@ class ReachabilityReport:
         return {**asdict(self), "target_deg": float(np.degrees(self.target))}
 
 
+# rad; the largest |target| taken. Doubles there are 1.2e-10 rad apart, so a
+# wrapped target still means something; at 1e308 deg the spacing is 2e290 rad.
+TARGET_BOUND = 1e6
+
+
 def _finite_target(target) -> None:
     if not np.isfinite(target):
         raise ValueError(f"target must be a finite angle, got {float(target)!r}")
+    if abs(target) > TARGET_BOUND:
+        raise ValueError(f"|target| must be at most {TARGET_BOUND:g} rad "
+                         f"({np.degrees(TARGET_BOUND):.4g} deg), got {float(target)!r} rad")
 
 
 def is_reachable(theta0, target: float) -> ReachabilityReport:
@@ -151,7 +159,7 @@ def is_reachable(theta0, target: float) -> ReachabilityReport:
     The open interval between the extreme rays is reachable; the rays
     themselves are not. For two agents the report also notes the extended
     regime (any direction, via mixed-sign gains with negative sum). A
-    non-finite target raises ValueError.
+    non-finite target, or one beyond TARGET_BOUND rad, raises ValueError.
     """
     _finite_target(target)
     return _reachability(_require_acute(rotated_frame(theta0)), target)
@@ -190,7 +198,7 @@ def synthesize_gains(theta0, target: float, c: float = -1.0) -> GainVector:
     the weighted average exactly on it. Every alpha_k stays strictly
     positive, so any c < 0 yields strictly negative gains with
     sum_k 1/K_k = 1/c. The gains are not unique; rescaling c moves them all.
-    A non-finite target raises ValueError.
+    A non-finite target, or one beyond TARGET_BOUND rad, raises ValueError.
     """
     return _synthesis(theta0, target, c)[0]
 
@@ -316,7 +324,8 @@ def two_agent_gains(theta0, target: float) -> GainVector:
     Interior targets use two negative gains; targets at or beyond the arc
     ends use one positive and one negative gain. The two rotated-frame
     boundary directions themselves would require a zero gain, which is
-    excluded, so they raise, and so does a non-finite target.
+    excluded, so they raise, and so does a non-finite target or one beyond
+    TARGET_BOUND rad.
     """
     th = as_heading_vector(theta0)
     if th.size != 2:

@@ -14,10 +14,12 @@ to roundoff); wrapping happens only at reporting boundaries.
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain, filterfalse
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -556,7 +558,70 @@ def write_run(run_dir, traj: TrajectoryRecord,
 
 def _json_text(obj) -> str:
     """obj as the JSON of every file the package writes and everything the
-    CLI prints: indented, keys sorted. allow_nan=False: a NaN or infinity
-    raises ValueError (the CLI's error JSON), never the NaN/Infinity tokens,
-    which are not JSON."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    CLI prints: the bytes that json.dumps writes with indent=2,
+    sort_keys=True and allow_nan=False, errors included, so a NaN or infinity
+    raises ValueError (the CLI's error JSON). Number lists are encoded in
+    bulk, where json's indented encoder steps a generator per element. There
+    is no cycle check: the package builds no cyclic document."""
+    return _json(obj, "\n")
+
+
+def _json(o, nl: str) -> str:
+    """o as JSON, its lines after the first starting with nl."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(_finite((o,))[0])
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if all(issubclass(kind, float) for kind in kinds):
+            body = sep.join(map(float.__repr__, _finite(o)))
+        elif kinds <= {list, tuple} and (row := _row_template(o, inner)):
+            body = sep.join(map(row.__mod__, map(tuple, o)))
+        else:
+            body = sep.join([_json(v, inner) for v in o])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(o.items())])
+        return f"{{{inner}{body}{nl}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):  # json writes these as strings
+        return encode_basestring_ascii(_json(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _row_template(rows, nl: str) -> str | None:
+    """The %-template of one of rows, when they share a nonzero length and
+    their entries are all floats or all ints (exact types, whose %r and %d
+    are json's float.__repr__ and int.__repr__); else None."""
+    cells = list(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if len(set(map(len, rows))) != 1 or kinds not in ({float}, {int}):
+        return None
+    if kinds == {float}:
+        _finite(cells)
+    inner = nl + "  "
+    fields = f",{inner}".join(["%r" if float in kinds else "%d"] * len(rows[0]))
+    return f"[{inner}{fields}{nl}]"
+
+
+def _finite(values):
+    """values, once each is a finite number; else json's ValueError."""
+    for bad in filterfalse(math.isfinite, values):
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return values

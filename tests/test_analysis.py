@@ -411,6 +411,34 @@ def test_non_finite_target_is_named(call, target):
         call(target)
 
 
+@pytest.mark.parametrize("target", [1e7, -1e7, 1e6 + 1.0, np.deg2rad(1e308)])
+@pytest.mark.parametrize("call", [
+    lambda target: is_reachable(np.deg2rad([-60.0, -30.0, 60.0]), target),
+    lambda target: synthesize_gains(np.deg2rad([-60.0, -30.0, 60.0]), target),
+    lambda target: two_agent_gains(np.deg2rad([-60.0, 60.0]), target),
+], ids=["is_reachable", "synthesize_gains", "two_agent_gains"])
+def test_target_beyond_bound_is_named(call, target):
+    """Past 1e6 rad the spacing of doubles grows toward the size of the arc,
+    so a wrapped target would be roundoff; the error names the bound."""
+    with pytest.raises(ValueError, match=r"\|target\| must be at most 1e\+06 rad"):
+        call(target)
+
+
+@pytest.mark.parametrize("turns", [-2, 2])
+def test_targets_wrap_within_bound(turns):
+    """Whole turns, and the bound itself, leave every answer as it is."""
+    theta3, theta2 = np.deg2rad([-60.0, -30.0, 60.0]), np.deg2rad([-60.0, 60.0])
+    target = np.deg2rad(10.0)
+    most = np.sign(turns) * (1e6 // (2 * np.pi))  # the most whole turns within the bound
+    for shifted in (target + turns * 2 * np.pi, target + most * 2 * np.pi):
+        assert is_reachable(theta3, shifted).reachable_negative_gains
+        np.testing.assert_allclose(synthesize_gains(theta3, shifted).gains,
+                                   synthesize_gains(theta3, target).gains, rtol=1e-6)
+        np.testing.assert_allclose(two_agent_gains(theta2, shifted).gains,
+                                   two_agent_gains(theta2, target).gains, rtol=1e-6)
+    assert is_reachable(theta3, np.sign(turns) * 1e6).interval_rotated is not None
+
+
 class TestCriticalHessian:
     def fd_hessian(self, theta, h=1e-4):
         n = theta.size

@@ -804,6 +804,37 @@ class TestClosedFormCommands:
         assert captured.err == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["reachable", "synthesize"])
+    @pytest.mark.parametrize("target", ["1e308", "-1e308", "5.8e7"])
+    def test_target_beyond_bound(self, tmp_path, capsys, command, target):
+        """A finite target past 1e6 rad once ran and answered for an angle
+        that is pure roundoff; now the error JSON names the bound."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": [-40.0, 5.0, 30.0],
+                                      "gains": "set1"})
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", str(cfg), f"--target-deg={target}",
+                     "--out", str(out_dir)])
+        assert code == 1
+        err = strict_json(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("|target| must be at most 1e+06 rad (5.73e+07 deg)")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["reachable", "synthesize"])
+    def test_whole_turns_of_target(self, tmp_path, capsys, command):
+        """-720, 0 and 720 deg away from a target give the same answer."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": [-40.0, 5.0, 30.0],
+                                      "gains": "set1"})
+        docs = []
+        for target in ("-710", "10", "730"):
+            assert main([command, "--config", str(cfg), f"--target-deg={target}",
+                         "--out", str(tmp_path / target)]) == 0
+            doc = strict_json(capsys.readouterr().out)
+            docs.append(doc["gains"] if command == "synthesize"
+                        else [doc["target"], doc["reachable_negative_gains"]])
+        np.testing.assert_allclose(docs[0], docs[1], rtol=1e-9)
+        np.testing.assert_allclose(docs[2], docs[1], rtol=1e-9)
+
     def test_nan_result_becomes_the_error_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.analysis, "predict_direction", lambda theta0, gains: float("nan"))
         cfg = write_config(tmp_path, BASE_DOC)

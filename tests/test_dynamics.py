@@ -366,6 +366,23 @@ class TestRotatingFrame:
         np.testing.assert_allclose(rot.p_mag, traj.p_mag, atol=1e-12)
         np.testing.assert_allclose(rot.potential, traj.potential, atol=1e-9)
 
+    @pytest.mark.parametrize("topology", [None, ring_graph(6)], ids=["mean-field", "ring"])
+    def test_rotating_frame_reproduces_the_unforced_run(self, six_theta0, topology):
+        """omega0 adds the same turn rate to every agent and the coupling
+        sees only heading differences, so theta(t) - omega0*t of the forced
+        run is the omega0 = 0 run: headings at every sample, controls, the
+        reported common heading and t_sync (within one step)."""
+        base = SimulationConfig(n=6, theta0=six_theta0, gains=GainVector(named_gain_set("set1", 6)),
+                                topology=topology, t_max=30.0, record_stride=3)
+        traj0, report0 = simulate(base)
+        traj_w, report_w = simulate(dataclasses.replace(base, omega0=0.5))
+        rot = rotating_frame(traj_w, 0.5)
+        assert report0.synchronized and not traj0.saturated.any()
+        assert np.max(np.abs(rot.theta - traj0.theta)) < 1e-9
+        assert np.max(np.abs(rot.controls - traj0.controls)) < 1e-9
+        assert abs(wrap_angle(report_w.final_heading_common - report0.final_heading_common)) < 1e-9
+        assert abs(report_w.t_sync - report0.t_sync) <= base.dt
+
 
 class TestCsv:
     def test_exact_bytes_of_a_hand_built_record(self, tmp_path):
