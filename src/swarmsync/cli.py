@@ -7,6 +7,9 @@ CSV/JSON files under the output directory (--out, else $SWARMSYNC_OUT, else
 
 Exit codes: 0 success / synchronized, 2 finished without synchronizing (or a
 scenario check failed), 1 error or bad arguments (an error JSON is printed).
+
+Each subcommand is one entry of the table _COMMANDS, which _build_parser turns
+into a subparser and main dispatches on. This paragraph is left out of --help.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, dump_config, load_config, with_overrides
-from .dynamics import DivergenceError, SimulationConfig, _json_text, simulate, write_run
+from .dynamics import DivergenceError, _json_text, simulate, write_run
 from .scenarios import SCENARIOS, run_scenario
 
 DEFAULT_OUT = "out"
@@ -40,71 +43,61 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
-def _load(args) -> SimulationConfig:
-    return with_overrides(load_config(args.config), args.dt, args.t_max, args.seed)
+def _direction(theta_c: float) -> dict:
+    return {"theta_c": theta_c, "theta_c_deg": float(np.degrees(theta_c))}
 
 
-def run_simulate(args) -> int:
-    traj, report = simulate(_load(args))
+def _simulate(cfg, args) -> tuple[dict, int]:
+    traj, report = simulate(cfg)
     csv_path, json_path = write_run(_out_dir(args.out), traj, report)
-    _emit({**report.to_dict(), "trajectory_csv": str(csv_path), "convergence_json": str(json_path)})
-    return 0 if report.synchronized else 2
+    doc = {**report.to_dict(), "trajectory_csv": str(csv_path), "convergence_json": str(json_path)}
+    return doc, 0 if report.synchronized else 2
 
 
-def run_predict(args) -> int:
-    cfg = _load(args)
-    theta_c = analysis.predict_direction(cfg.theta0, cfg.gains)
-    _emit({"theta_c": theta_c, "theta_c_deg": float(np.degrees(theta_c))})
-    return 0
-
-
-def run_reachable(args) -> int:
-    cfg = _load(args)
-    report = analysis.is_reachable(cfg.theta0, np.deg2rad(args.target_deg))
-    _emit(report.to_dict())
-    return 0
-
-
-def run_synthesize(args) -> int:
-    cfg = _load(args)
+def _synthesize(cfg, args) -> tuple[dict, int]:
     # one rotated frame serves both the synthesis and the prediction
     gains, frame = analysis._synthesis(cfg.theta0, np.deg2rad(args.target_deg), args.c)
-    theta_c = analysis._prediction(frame, gains)
-    out = _out_dir(args.out)
-    synth_cfg = dataclasses.replace(cfg, gains=gains)
-    cfg_path = out / "config_synthesized.json"
-    cfg_path.write_text(_json_text(dump_config(synth_cfg)))
-    _emit(
-        {
-            "gains": gains.gains.tolist(),
-            "theta_c": theta_c,
-            "theta_c_deg": float(np.degrees(theta_c)),
-            "config": str(cfg_path),
-        }
-    )
-    return 0
+    doc = {"gains": gains.gains.tolist(), **_direction(analysis._prediction(frame, gains))}
+    cfg_path = _out_dir(args.out) / "config_synthesized.json"
+    cfg_path.write_text(_json_text(dump_config(dataclasses.replace(cfg, gains=gains))))
+    return {**doc, "config": str(cfg_path)}, 0
 
 
-def run_perturb(args) -> int:
-    cfg = _load(args)
-    bounds = analysis.perturbation_bounds(cfg.theta0, args.eta)
-    _emit(bounds.to_dict())
-    return 0
+def _scenario(_, args) -> tuple[dict, int]:
+    code, summary = run_scenario(args.name, _out_dir(args.out), args.dt, args.t_max, args.seed)
+    return summary, code
 
 
-def run_classify(args) -> int:
-    cfg = _load(args)
-    result = analysis.classify_critical_point(cfg.theta0)
-    _emit(result.to_dict())
-    return 0
+def _opt(*flags, **kw) -> tuple[tuple, dict]:
+    return flags, kw
 
 
-def run_scenario_cmd(args) -> int:
-    code, summary = run_scenario(
-        args.name, _out_dir(args.out), dt=args.dt, t_max=args.t_max, seed=args.seed
-    )
-    _emit(summary)
-    return code
+_COMMON = (
+    _opt("--out", default=None, help="output directory"),
+    _opt("--dt", type=float, default=None, help="override step size (s)"),
+    _opt("--t-max", dest="t_max", type=float, default=None, help="override horizon (s)"),
+    _opt("--seed", type=int, default=None, help="override RNG seed"),
+)
+_TARGET = _opt("--target-deg", dest="target_deg", type=float, required=True)
+_ETA = _opt("--eta", type=float, required=True, help="max fractional gain error in [0, 1)")
+
+# name: (help, options after the common ones, command(cfg, args) -> (document, exit code));
+# scenario takes a name in place of --config and gets no config
+_COMMANDS = {
+    "simulate": ("integrate the closed loop, write CSV + JSON", (), _simulate),
+    "predict": ("closed-form synchronized direction", (), lambda cfg, args: (
+        _direction(analysis.predict_direction(cfg.theta0, cfg.gains)), 0)),
+    "reachable": ("test whether a direction is reachable", (_TARGET,), lambda cfg, args: (
+        analysis.is_reachable(cfg.theta0, np.deg2rad(args.target_deg)).to_dict(), 0)),
+    "synthesize": ("construct gains for a target direction",
+                   (_TARGET, _opt("--c", type=float, default=-1.0, help="negative scale constant")),
+                   _synthesize),
+    "perturb": ("gain-error deviation bounds", (_ETA,), lambda cfg, args: (
+        analysis.perturbation_bounds(cfg.theta0, args.eta).to_dict(), 0)),
+    "classify": ("classify the config headings as a critical point", (), lambda cfg, args: (
+        analysis.classify_critical_point(cfg.theta0).to_dict(), 0)),
+    "scenario": ("run a built-in scenario", (), _scenario),
+}
 
 
 class UsageError(ValueError):
@@ -130,57 +123,25 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main() call and reused: parsing
     leaves no state in it. Not built at import, which would lengthen every
     import of the package."""
-    parser = _Parser(prog="swarmsync", description=__doc__)
+    parser = _Parser(prog="swarmsync", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="override step size (s)")
-        p.add_argument("--t-max", dest="t_max", type=float, default=None, help="override horizon (s)")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-
-    p = sub.add_parser("simulate", help="integrate the closed loop, write CSV + JSON")
-    add_common(p)
-    p.set_defaults(func=run_simulate)
-
-    p = sub.add_parser("predict", help="closed-form synchronized direction")
-    add_common(p)
-    p.set_defaults(func=run_predict)
-
-    p = sub.add_parser("reachable", help="test whether a direction is reachable")
-    add_common(p)
-    p.add_argument("--target-deg", dest="target_deg", type=float, required=True)
-    p.set_defaults(func=run_reachable)
-
-    p = sub.add_parser("synthesize", help="construct gains for a target direction")
-    add_common(p)
-    p.add_argument("--target-deg", dest="target_deg", type=float, required=True)
-    p.add_argument("--c", type=float, default=-1.0, help="negative scale constant")
-    p.set_defaults(func=run_synthesize)
-
-    p = sub.add_parser("perturb", help="gain-error deviation bounds")
-    add_common(p)
-    p.add_argument("--eta", type=float, required=True, help="max fractional gain error in [0, 1)")
-    p.set_defaults(func=run_perturb)
-
-    p = sub.add_parser("classify", help="classify the config headings as a critical point")
-    add_common(p)
-    p.set_defaults(func=run_classify)
-
-    p = sub.add_parser("scenario", help="run a built-in scenario")
-    p.add_argument("name", choices=sorted(SCENARIOS))
-    add_common(p, config=False)
-    p.set_defaults(func=run_scenario_cmd)
-
+    for name, (help_, extras, _) in _COMMANDS.items():
+        first = (_opt("name", choices=sorted(SCENARIOS)) if name == "scenario" else
+                 _opt("--config", required=True, help="path to a JSON config"))
+        p = sub.add_parser(name, help=help_)
+        for flags, kw in (first, *_COMMON, *extras):
+            p.add_argument(*flags, **kw)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        cfg = None if args.command == "scenario" else with_overrides(
+            load_config(args.config), args.dt, args.t_max, args.seed)
+        doc, code = _COMMANDS[args.command][2](cfg, args)
+        _emit(doc)
+        return code
     except BrokenPipeError:
         # the reader closed stdout, so no error JSON can reach it; stdout goes
         # to devnull, or the flush at interpreter exit would raise again

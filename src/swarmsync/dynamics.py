@@ -138,10 +138,10 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     n_steps = int(steps)
     n_samples = n_steps // cfg.record_stride + 1
     if n_samples * cfg.n > RECORD_BUDGET:
-        raise ValueError(f"t_max/record_stride give {n_samples} samples x {cfg.n} "
+        raise ValueError(f"t_max/record_stride give {n_samples:.12g} samples x {cfg.n} "
                          f"agents, above the record budget of {RECORD_BUDGET} values")
     if n_steps > STEP_BUDGET:
-        raise ValueError(f"t_max/dt give {n_steps} integration steps, above the "
+        raise ValueError(f"t_max/dt give {n_steps:.12g} integration steps, above the "
                          f"step budget of {STEP_BUDGET}")
     return n_steps, n_samples
 

@@ -8,6 +8,9 @@ are integrated together whatever their law, each equal to its own simulate()
 bit for bit: sim1 and sim1-omega are one batch of four mean-field and ring
 runs each, and sim3-caps and sim3-sat one batch of two.
 
+A scenario is one entry of the table SCENARIOS, which returns its named
+runs; the scenario-specific checks are in _scenario_checks.
+
     sim1        six agents, heterogeneous negative gain sets, straight-line
                 motion, mean-field vs ring coupling
     sim1-omega  same with a common orbital turn rate omega0 = 0.5 rad/s
@@ -55,63 +58,36 @@ def _sim1_config(gain_set: str, topology: str, omega0: float = 0.0,
     )
 
 
-def _build_sim1(omega0: float) -> list[tuple[str, SimulationConfig]]:
-    return [
-        (f"{gain_set}-{topo}", _sim1_config(gain_set, topo, omega0=omega0))
-        for gain_set in ("set1", "set2")
-        for topo in ("complete", "ring")
-    ]
+def _sim1_runs(gain_sets: tuple[str, ...], topologies=("complete", "ring"), **kw):
+    """A SCENARIOS entry: one run of the sim1 agents per gain set and topology,
+    named by the topology alone when there is one gain set."""
+    return lambda: [(f"{g}-{topo}" if len(gain_sets) > 1 else topo, _sim1_config(g, topo, **kw))
+                    for g in gain_sets for topo in topologies]
 
 
 def _build_sim2() -> list[tuple[str, SimulationConfig]]:
-    rng = np.random.default_rng(2)
-    runs = []
-    for name, gains in (("a", (-3.0, 1.0)), ("b", (1.0, -3.0))):
-        runs.append(
-            (
-                name,
-                SimulationConfig(
-                    n=2,
-                    theta0=np.deg2rad([-60.0, 60.0]),
-                    gains=GainVector(np.asarray(gains)),
-                    positions0=rng.uniform(-5.0, 5.0, (2, 2)),
-                    t_max=60.0,
-                    record_stride=5,
-                ),
-            )
-        )
-    return runs
-
-
-def _build_sim3_caps() -> list[tuple[str, SimulationConfig]]:
+    rng = np.random.default_rng(2)  # drawn in run order, two positions a run
     return [
-        (topo, _sim1_config("set4", topo, t_max=800.0, u_max=0.1, record_stride=20))
-        for topo in ("complete", "ring")
+        (name, SimulationConfig(
+            n=2,
+            theta0=np.deg2rad([-60.0, 60.0]),
+            gains=GainVector(np.asarray(gains)),
+            positions0=rng.uniform(-5.0, 5.0, (2, 2)),
+            t_max=60.0,
+            record_stride=5,
+        ))
+        for name, gains in (("a", (-3.0, 1.0)), ("b", (1.0, -3.0)))
     ]
 
 
-def _build_sim3_sat() -> list[tuple[str, SimulationConfig]]:
-    return [
-        (
-            topo,
-            _sim1_config("set2", topo, t_max=300.0, u_max=0.1, saturate=True,
-                         record_stride=20),
-        )
-        for topo in ("complete", "ring")
-    ]
-
-
-def _build_fig6() -> list[tuple[str, SimulationConfig]]:
-    return [("complete", _sim1_config("set3", "complete", t_max=200.0))]
-
-
+# name: () -> [(run name, config), ...], the runs in the order they are written
 SCENARIOS = {
-    "sim1": lambda: _build_sim1(0.0),
-    "sim1-omega": lambda: _build_sim1(0.5),
+    "sim1": _sim1_runs(("set1", "set2")),
+    "sim1-omega": _sim1_runs(("set1", "set2"), omega0=0.5),
     "sim2": _build_sim2,
-    "sim3-caps": _build_sim3_caps,
-    "sim3-sat": _build_sim3_sat,
-    "fig6": _build_fig6,
+    "sim3-caps": _sim1_runs(("set4",), t_max=800.0, u_max=0.1, record_stride=20),
+    "sim3-sat": _sim1_runs(("set2",), t_max=300.0, u_max=0.1, saturate=True, record_stride=20),
+    "fig6": _sim1_runs(("set3",), ("complete",), t_max=200.0),
 }
 
 _PREDICTION_TOL = 1e-3  # rad, simulated vs closed-form final direction
