@@ -222,18 +222,14 @@ def _synthesis(theta0, target: float, c: float) -> tuple[GainVector, RotatedFram
 
     alpha = np.full(n, 1.0 / n)
     if abs(t_hat - mean) > 1e-15 * max(1.0, frame.span):
-        if t_hat > mean:
-            above = np.flatnonzero(hat > t_hat)
-            hi = int(above[np.argmin(hat[above])])
-            below = np.flatnonzero(hat <= t_hat)
-            lo = int(below[np.argmax(hat[below])])
-            s_min = (t_hat - mean) / (hat[hi] - mean)
-        else:
-            below = np.flatnonzero(hat < t_hat)
-            lo = int(below[np.argmax(hat[below])])
-            above = np.flatnonzero(hat >= t_hat)
-            hi = int(above[np.argmin(hat[above])])
-            s_min = (mean - t_hat) / (mean - hat[lo])
+        # the headings bracketing the target; the side beyond it (away from
+        # the mean) is strict, so the far end is never the target itself
+        up = t_hat > mean
+        above = np.flatnonzero(hat > t_hat if up else hat >= t_hat)
+        below = np.flatnonzero(hat <= t_hat if up else hat < t_hat)
+        hi = int(above[np.argmin(hat[above])])
+        lo = int(below[np.argmax(hat[below])])
+        s_min = (t_hat - mean) / (hat[hi if up else lo] - mean)
         s = 0.5 * (1.0 + s_min)
         t_adj = mean + (t_hat - mean) / s
         w_hi = (t_adj - hat[lo]) / (hat[hi] - hat[lo])
@@ -345,18 +341,12 @@ def two_agent_gains(theta0, target: float) -> GainVector:
         lam_hi = t_hat / span
         k[lo_i] = -1.0 / (1.0 - lam_hi)
         k[hi_i] = -1.0 / lam_hi
-    elif t_hat <= 0.0:
-        beta = -t_hat / span
-        if beta == 0.0:
+    else:  # the end the target lies beyond gets the positive gain
+        end, other, beyond = (lo_i, hi_i, -t_hat) if t_hat <= 0.0 else (hi_i, lo_i, t_hat - span)
+        positive = beyond / span
+        if positive == 0.0:
             raise ValueError("boundary direction requires a zero gain, which is excluded")
-        k[lo_i] = beta
-        k[hi_i] = -(1.0 + beta)
-    else:  # t_hat >= span
-        gamma = (t_hat - span) / span
-        if gamma == 0.0:
-            raise ValueError("boundary direction requires a zero gain, which is excluded")
-        k[hi_i] = gamma
-        k[lo_i] = -(1.0 + gamma)
+        k[end], k[other] = positive, -(1.0 + positive)
     return GainVector(k)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii
@@ -26,7 +26,7 @@ import numpy as np
 
 from .angles import heading_spread, wrap_angle
 from .control import GainClass, GainVector
-from .phase import _grad, _potential, as_heading_vector
+from .phase import ZERO_MAGNITUDE_TOL, _grad, _potential, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
@@ -171,7 +171,7 @@ class TrajectoryRecord:
         z = np.exp(1j * self.theta)
         p = z.mean(axis=1)
         self.p_mag = np.abs(p)
-        self.p_psi = np.where(self.p_mag > 1e-12, np.angle(p), np.nan)
+        self.p_psi = np.where(self.p_mag > ZERO_MAGNITUDE_TOL, np.angle(p), np.nan)
         self.potential = _potential(z, None)
         self.graph_potential = (
             self.n * self.potential if self.edges is None else _potential(z, self.edges)
@@ -498,8 +498,7 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     starts = [_start(cfg) for cfg in cfgs]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        limit = cfg.u_max if cfg.saturate else None
-        groups.setdefault((cfg.n, cfg.dt, cfg.t_max, cfg.record_stride, limit), []).append(i)
+        groups.setdefault((cfg.n, cfg.dt, cfg.t_max, cfg.record_stride, _law(cfg)[3]), []).append(i)
     results: list = [None] * len(cfgs)
     diverged: dict[int, float] = {}
     for (n, dt, _, stride, u_max), rows in groups.items():
@@ -529,18 +528,12 @@ def rotating_frame(traj: TrajectoryRecord, omega0: float) -> TrajectoryRecord:
     Headings become theta_k(t) - omega0*t and every heading-derived column is
     recomputed from them; controls become the frame-relative turn rates
     u_k - omega0. Positions are left in the inertial frame. For omega0 = 0
-    this is the identity transform.
+    this is the identity transform. The new record shares times, positions,
+    saturated, gains and edges with traj, as the records of one batch
+    already share the batch's buffers.
     """
-    return TrajectoryRecord(
-        times=traj.times.copy(),
-        theta=traj.theta - omega0 * traj.times[:, None],
-        positions=traj.positions.copy(),
-        controls=traj.controls - omega0,
-        saturated=traj.saturated.copy(),
-        gains=traj.gains,
-        omega0=traj.omega0 - omega0,
-        edges=traj.edges,
-    )
+    return replace(traj, theta=traj.theta - omega0 * traj.times[:, None],
+                   controls=traj.controls - omega0, omega0=traj.omega0 - omega0)
 
 
 def write_run(run_dir, traj: TrajectoryRecord,

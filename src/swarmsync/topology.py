@@ -60,13 +60,11 @@ class InteractionGraph:
         return src, dst
 
     def neighbors(self, k: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == k:
-                out.append(b)
-            elif b == k:
-                out.append(a)
-        return sorted(out)
+        """Sorted neighbours of node k in 0..n-1 (else ValueError), from the edge arrays."""
+        if not (0 <= k < self.n and k == int(k)):
+            raise ValueError(f"node {k} out of range for n={self.n}")
+        src, dst = self._edge_arrays
+        return dst[src == k].tolist()
 
 
 def complete_graph(n: int) -> InteractionGraph:
@@ -84,13 +82,12 @@ def ring_graph(n: int) -> InteractionGraph:
 
 
 def laplacian(g: InteractionGraph) -> np.ndarray:
-    """Degree-minus-adjacency matrix of g."""
+    """Degree-minus-adjacency matrix of g, read from its edge arrays: -1 at
+    each directed edge and each node's edge count on the diagonal."""
+    src, dst = edge_arrays(g)
     lap = np.zeros((g.n, g.n))
-    for j, k in g.edges:
-        lap[j, j] += 1.0
-        lap[k, k] += 1.0
-        lap[j, k] -= 1.0
-        lap[k, j] -= 1.0
+    lap[src, dst] = -1.0
+    np.fill_diagonal(lap, np.bincount(src, minlength=g.n))
     return lap
 
 

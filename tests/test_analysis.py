@@ -1,6 +1,7 @@
 """Rotated frames, direction prediction, reachability, synthesis, perturbation
 bounds, the two-agent extension, and critical-point machinery."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,11 @@ from swarmsync.analysis import _hessian_entries, _saddle_witness
 from swarmsync.phase import alignment_potential_grad, order_parameter
 
 RNG = np.random.default_rng(505)
+
+# sha256 pins (see digest) of synthesize_gains on synthesis_cases() and of
+# two_agent_gains on two_agent_cases()
+SYNTHESIS_PIN = "8069133fa7951bd8a17b98cd14cd8fed5a6b33f9941fb9ff2dc9df7f10956306"
+TWO_AGENT_PIN = "50a0b767b665c79ded6512cf96b9d43534d50de7cb6cf59fda6c87c389877ea2"
 
 # weighted averages of the six reference headings, evaluated by hand:
 #   set1: sum(hat/K) = -81 deg, sum(1/K) = -49/20  ->  1620/49 - 60 deg
@@ -300,6 +306,55 @@ class TestSynthesizeGains:
         with pytest.raises(ValueError):
             synthesize_gains(six_theta0, 0.0, c=1.0)
 
+    def test_pinned_bits(self):
+        """The gains of synthesis_cases() bit for bit. The exact targets pin
+        which side of the bracket takes a heading equal to the target; the
+        others pin which end s_min divides by."""
+        cases = synthesis_cases()
+        assert len(cases) == 1938
+        assert digest(synthesize_gains(*case) for case in cases) == SYNTHESIS_PIN
+
+
+def synthesis_cases():
+    """(theta0, target, c) on 320 seeded acute configs at n = 2..40. Each
+    config gives an interior target on each side of the homogeneous mean and,
+    as exact targets, the heading nearest the mean on each side and one
+    other heading each side (their rotated values equal the frame's bit for
+    bit). Every fourth config puts its reference heading at exactly 0, so
+    its rotated frame is theta0 itself, and adds the mean as an exact
+    target."""
+    rng = np.random.default_rng(1515)
+    cases = []
+    for i in range(320):
+        n = 2 + i % 39
+        theta0, _ = random_acute_headings(rng, n)
+        if i % 4 == 0:
+            theta0 = theta0 - theta0.min()
+        frame = rotated_frame(theta0)
+        hat, c = frame.theta_hat0, -float(rng.uniform(0.1, 4.0))
+        mean = float(hat.mean())
+        targets = [wrap_angle(frame.theta_R + rng.uniform(0.0, mean)),
+                   wrap_angle(frame.theta_R + rng.uniform(mean, frame.span))]
+        inner = (hat > 0.0) & (hat < frame.span)
+        for side in (inner & (hat < mean), inner & (hat > mean)):
+            idx = np.flatnonzero(side)
+            if idx.size:
+                nearest = idx[np.argmin(np.abs(hat[idx] - mean))]
+                targets += [theta0[nearest], theta0[rng.choice(idx)]]
+        if i % 4 == 0:
+            assert frame.theta_R == 0.0 and np.array_equal(hat, theta0)
+            targets.append(mean)
+        cases += [(theta0, float(t), c) for t in targets]
+    return cases
+
+
+def digest(results) -> str:
+    """sha256 over the gains' bytes, or the error message, of each result."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.encode() if isinstance(r, str) else r.gains.tobytes())
+    return h.hexdigest()
+
 
 class TestPerturbationBounds:
     def test_zero_eta_degenerates_to_mean(self, six_theta0):
@@ -363,6 +418,32 @@ class TestTwoAgentDirection:
             two_agent_direction([0.0, 1.0], [2.0, -1.0])
 
 
+def two_agent_cases():
+    """(theta0, target) for 200 seeded acute pairs: a target inside the arc,
+    below it, beyond it and 1e-9 rad past each end, then each heading itself
+    (a boundary direction, which raises); and a shared heading with its own
+    direction and another one (which raises)."""
+    rng = np.random.default_rng(1516)
+    cases = []
+    for _ in range(200):
+        theta0, span = random_acute_headings(rng, n=2, span_range=(0.05, 2.9))
+        ref = rotated_frame(theta0).theta_R
+        offsets = (rng.uniform(0.0, span), -rng.uniform(0.0, np.pi), rng.uniform(span, np.pi),
+                   -1e-9, span + 1e-9)
+        cases += [(theta0, float(wrap_angle(ref + d))) for d in offsets]
+        cases += [(theta0, float(t)) for t in theta0]
+        shared = np.full(2, theta0[0])
+        cases += [(shared, float(theta0[0])), (shared, float(theta0[1]))]
+    return cases
+
+
+def two_agent_result(theta0, target):
+    try:
+        return two_agent_gains(theta0, target)
+    except ValueError as err:
+        return str(err)
+
+
 class TestTwoAgentGains:
     def test_interior_target_uses_negative_pair(self):
         gains = two_agent_gains(np.deg2rad([-60.0, 60.0]), 0.0)
@@ -398,6 +479,19 @@ class TestTwoAgentGains:
         for target_deg in (-60.0, 60.0):
             with pytest.raises(ValueError, match="zero gain"):
                 two_agent_gains(theta0, np.deg2rad(target_deg))
+
+    def test_pinned_bits(self):
+        """The gains, or the error message, of two_agent_cases() bit for
+        bit: which end gets the positive gain, and where the boundary error
+        fires."""
+        results = [two_agent_result(*case) for case in two_agent_cases()]
+        kinds = [r if isinstance(r, str) else
+                 "inside" if np.all(r.gains < 0) else "beyond" for r in results]
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "inside": 400, "beyond": 800,
+            "boundary direction requires a zero gain, which is excluded": 400,
+            "agents share one heading; only that direction is reachable": 200}
+        assert digest(results) == TWO_AGENT_PIN
 
 
 @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmsync import SCENARIOS, cli, dynamics
@@ -159,6 +160,37 @@ class TestPerfbenchNames:
         assert len(calls) >= 15
         for module, attr in calls:
             assert callable(getattr(vars(measure)[module], attr, None)), (module, attr)
+
+
+# the layers _run_probes times, each under its own span name
+PROBED_LAYERS = {
+    "dynamics.simulate", "dynamics.step", "phase.grad", "control.command",
+    "topology.laplacian", "topology.is_connected", "dynamics.rotating_frame", "dynamics.to_csv",
+    "config.load_config", "cli.main", "scenarios.run_scenario", "analysis.rotated_frame",
+    "analysis.predict_direction", "analysis.synthesize_gains", "angles.heading_spread",
+}
+
+
+class TestPerfbenchProbes:
+    """Each workload's layer probes, called once at a tiny size: a changed
+    signature of a probed program function fails here, not only in a traced
+    benchmark run."""
+
+    @pytest.mark.parametrize("name,size", [pytest.param(name, size, id=name) for name, size in (
+        ("ensemble-mf", {"ns": (2, 3)}),
+        ("cli-record", {"simulate_calls": 1, "t_max": 1.0}),
+        ("ring-large-n", {"n": 20, "t_max": 0.1}),
+        ("closed-form-large-n", {"n": 12}),
+    )])
+    def test_probes_run_every_layer(self, measure, monkeypatch, tmp_path, name, size):
+        before = sorted(PERFBENCH.rglob("*"))
+        monkeypatch.setattr(measure, "PROBE_SECONDS", 0.0)
+        wl = measure.WORKLOADS[name].build(np.random.default_rng(7), tmp_path, size)
+        tracer = measure.Tracer()
+        measure._run_probes(tracer, wl, tmp_path, set())
+        names = {span.name for span in tracer.spans}
+        assert names == PROBED_LAYERS | {f"probe:{layer}" for layer in PROBED_LAYERS}
+        assert sorted(PERFBENCH.rglob("*")) == before
 
 
 class TestBudgetMessages:

@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -340,7 +341,50 @@ class TestSimulate:
             simulate(cfg)
 
 
+def explicit_rotating_frame(traj, omega0):
+    """Reference: rotating_frame as an explicit TrajectoryRecord construction
+    that lists every field and copies the unchanged arrays."""
+    return TrajectoryRecord(
+        times=traj.times.copy(),
+        theta=traj.theta - omega0 * traj.times[:, None],
+        positions=traj.positions.copy(),
+        controls=traj.controls - omega0,
+        saturated=traj.saturated.copy(),
+        gains=traj.gains,
+        omega0=traj.omega0 - omega0,
+        edges=traj.edges,
+    )
+
+
+def assert_same_record(got, ref):
+    """Every field of two records equal bit for bit: arrays by dtype, shape
+    and bytes, omega0 by its float bytes, edges by identity."""
+    for f in dataclasses.fields(TrajectoryRecord):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if f.name == "edges":
+            assert a is b or all(x is y for x, y in zip(a, b)), f.name
+        elif f.name == "omega0":
+            assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
 class TestRotatingFrame:
+    @pytest.mark.parametrize("topology,saturate", [(None, False), (ring_graph(6), False),
+                                                   (ring_graph(6), True)],
+                             ids=["mean-field", "ring", "ring-saturated"])
+    @pytest.mark.parametrize("rate", [0.0, 0.5, -0.3])
+    def test_every_column_as_the_explicit_construction(self, six_theta0, topology, saturate,
+                                                       rate):
+        cfg = SimulationConfig(n=6, theta0=six_theta0, gains=GainVector(named_gain_set("set2", 6)),
+                               topology=topology, omega0=0.4, u_max=0.3, saturate=saturate,
+                               t_max=8.0, record_stride=7)
+        traj, _ = simulate(cfg)
+        assert traj.saturated.any() == saturate
+        rot = rotating_frame(traj, rate)
+        assert_same_record(rot, explicit_rotating_frame(traj, rate))
+        assert rot.omega0 == 0.4 - rate
+
     def test_identity_for_zero_omega(self):
         cfg = make_config(t_max=5.0)
         traj, _ = simulate(cfg)
@@ -1051,6 +1095,32 @@ def case_id(cfg):
     return f"n{cfg.n}-{law}-w{cfg.omega0:g}-{'sat' if cfg.saturate else 'free'}"
 
 
+def relabelled(cfg, perm):
+    """cfg with agent k of the new run being agent perm[k] of cfg: its
+    heading, gain, position and edges."""
+    label = np.argsort(perm)  # the new label of each old agent
+    graph = None if cfg.topology is None else InteractionGraph(
+        cfg.n, tuple((int(label[j]), int(label[k])) for j, k in cfg.topology.edges))
+    return dataclasses.replace(cfg, theta0=cfg.theta0[perm], gains=GainVector(cfg.gains.gains[perm]),
+                               positions0=cfg.positions0[perm], topology=graph)
+
+
+def large_relabelling_cases():
+    """n = 1000 to t_max 0.3, every sample recorded: the mean-field law
+    turning at omega0, and the saturating neighbour law on a random connected
+    graph (a random spanning tree plus n random chords)."""
+    rng = np.random.default_rng(1518)
+    n = 1000
+    order = rng.permutation(n)
+    pairs = [(order[k], order[rng.integers(k)]) for k in range(1, n)]
+    pairs += [rng.choice(n, size=2, replace=False) for _ in range(n)]
+    graph = InteractionGraph(n, tuple({(int(min(e)), int(max(e))) for e in pairs}))
+    common = dict(n=n, theta0=rng.uniform(-1.2, 1.2, n), positions0=rng.uniform(-3.0, 3.0, (n, 2)),
+                  gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, n))), t_max=0.3)
+    return [SimulationConfig(omega0=0.3, **common),
+            SimulationConfig(topology=graph, u_max=0.5, saturate=True, **common)]
+
+
 class TestMetamorphic:
     """The closed loop depends on headings only through their differences,
     and on an agent only through its gain and its edges: turning every
@@ -1072,13 +1142,36 @@ class TestMetamorphic:
         """Agent k of the relabelled run is agent perm[k], with its heading,
         gain, position and edges: the same t_sync and final common heading."""
         perm = np.random.default_rng(cfg.n).permutation(cfg.n)
-        label = np.argsort(perm)  # the new label of each old agent
-        graph = None if cfg.topology is None else InteractionGraph(
-            cfg.n, tuple((int(label[j]), int(label[k])) for j, k in cfg.topology.edges))
         _, report = simulate(cfg)
-        _, relabelled = simulate(dataclasses.replace(
-            cfg, theta0=cfg.theta0[perm], gains=GainVector(cfg.gains.gains[perm]),
-            positions0=cfg.positions0[perm], topology=graph))
-        assert report.synchronized and relabelled.t_sync == report.t_sync
-        moved = relabelled.final_heading_common - report.final_heading_common
+        _, moved_report = simulate(relabelled(cfg, perm))
+        assert report.synchronized and moved_report.t_sync == report.t_sync
+        moved = moved_report.final_heading_common - report.final_heading_common
         assert abs(wrap_angle(moved)) < 1e-12
+
+    @pytest.mark.parametrize("cfg", large_relabelling_cases(), ids=case_id)
+    def test_relabelling_permutes_every_column(self, cfg):
+        """At n = 1000, relabelling permutes the graph layer exactly (the
+        Laplacian and every neighbour list) and every per-agent column of
+        the run (theta, positions, controls, saturated), and leaves the
+        whole-swarm columns unchanged (p_mag, p_psi, potential,
+        graph_potential, conserved). Run columns agree to 1e-11, absolute and relative: the
+        relabelled run sums over agents in another order."""
+        perm = np.random.default_rng(cfg.n).permutation(cfg.n)
+        label = np.argsort(perm)
+        moved = relabelled(cfg, perm)
+        if cfg.topology is not None:
+            lap = laplacian(cfg.topology)
+            assert laplacian(moved.topology).tobytes() == lap[np.ix_(perm, perm)].tobytes()
+            for k in range(cfg.n):
+                assert moved.topology.neighbors(label[k]) == sorted(
+                    label[cfg.topology.neighbors(k)].tolist())
+        traj, _ = simulate(cfg)
+        got, _ = simulate(moved)
+        close = partial(np.testing.assert_allclose, rtol=1e-11, atol=1e-11)
+        close(got.theta, traj.theta[:, perm])
+        close(got.controls, traj.controls[:, perm])
+        close(got.positions, traj.positions[:, perm])
+        assert np.array_equal(got.saturated, traj.saturated[:, perm])
+        assert traj.saturated.any() == cfg.saturate
+        for name in ("p_mag", "p_psi", "potential", "graph_potential", "conserved"):
+            close(getattr(got, name), getattr(traj, name), err_msg=name)

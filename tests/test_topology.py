@@ -21,6 +21,39 @@ def random_graph(n, p=0.4):
     return InteractionGraph(n, tuple(edges))
 
 
+def loop_laplacian(g):
+    """Reference: the degree-minus-adjacency matrix built edge by edge."""
+    lap = np.zeros((g.n, g.n))
+    for j, k in g.edges:
+        lap[j, j] += 1.0
+        lap[k, k] += 1.0
+        lap[j, k] -= 1.0
+        lap[k, j] -= 1.0
+    return lap
+
+
+def loop_neighbors(g, k):
+    """Reference: the neighbours of k collected edge by edge, sorted."""
+    out = []
+    for a, b in g.edges:
+        if a == k:
+            out.append(b)
+        elif b == k:
+            out.append(a)
+    return sorted(out)
+
+
+def reference_graphs():
+    """Seeded random graphs on 1..40 nodes, from edgeless to complete."""
+    rng = np.random.default_rng(1517)
+    graphs = [InteractionGraph(1, ()), InteractionGraph(5, ()), complete_graph(7)]
+    for _ in range(60):
+        n, p = int(rng.integers(2, 41)), rng.uniform(0.0, 1.0)
+        edges = [(k, j) for j in range(n) for k in range(j + 1, n) if rng.random() < p]
+        graphs.append(InteractionGraph(n, tuple(rng.permutation(edges).tolist())))
+    return graphs
+
+
 class TestConstruction:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 3), (6, 15)])
     def test_complete_edge_count(self, n, expected):
@@ -70,6 +103,21 @@ class TestConstruction:
         g = InteractionGraph(4, ((2, 1), (3, 0)))
         assert g.edges == ((0, 3), (1, 2))
 
+    def test_neighbors_match_the_edge_loop(self):
+        for g in reference_graphs():
+            for k in range(g.n):
+                got = g.neighbors(k)
+                assert got == loop_neighbors(g, k)
+                assert all(type(j) is int for j in got)
+        # an integral value of another type names its node
+        assert ring_graph(4).neighbors(2.0) == ring_graph(4).neighbors(np.intp(2)) == [1, 3]
+
+    @pytest.mark.parametrize("k", [-1, 4, 1.5])
+    def test_neighbors_reject_a_node_out_of_range(self, k):
+        """A node that does not exist is an error, not an isolated node."""
+        with pytest.raises(ValueError, match=f"node {k} out of range for n=4"):
+            ring_graph(4).neighbors(k)
+
 
 class TestLaplacian:
     def test_single_edge(self):
@@ -85,6 +133,12 @@ class TestLaplacian:
         for n in range(2, 9):
             expected = n * np.eye(n) - np.ones((n, n))
             np.testing.assert_array_equal(laplacian(complete_graph(n)), expected)
+
+    def test_matches_the_edge_loop_bit_for_bit(self):
+        for g in reference_graphs():
+            lap, ref = laplacian(g), loop_laplacian(g)
+            assert lap.dtype == ref.dtype and lap.shape == ref.shape
+            assert lap.tobytes() == ref.tobytes()
 
     def test_structure_properties_random_graphs(self):
         """Symmetric, PSD, zero row sums, and the all-ones kernel vector."""
