@@ -43,9 +43,9 @@ CSV_FLOAT_FMT = "%.17g"
 # `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
 # 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
 RECORD_BUDGET = 2**25
-# Largest number of RK4 steps simulate() may take: 6 to 12 minutes at the
-# 22 to 42 us a step of an n=6 mean-field run with stride 1 (a shared 2-core
-# x86-64 host, quiet and busy), far above every bundled scenario (80,000 steps).
+# Largest number of RK4 steps simulate() may take: 6 to 10 minutes at the
+# 20 to 35 us a step of an n=6 mean-field run with stride 1 (a shared 2-core
+# x86-64 host, BENCH_rk4_dispatch.json), far above any bundled scenario's 80,000.
 STEP_BUDGET = 2**24
 
 
@@ -238,10 +238,14 @@ def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
     Run r's headings are r*n..r*n+n-1 of one flat row, so exp, gains, omega0
     and clip run once over it. Graph runs take _grad's 1-D bincount over the
     disjoint union of their edges; mean-field runs _grad's Im(conj(p) z), p a
-    scalar for one run, else a (R_mf, 1) buffer divided by a 0-d complex n."""
+    scalar for one run, else a (R_mf, 1) buffer divided by a 0-d complex n.
+    omega0 None adds nothing (exact where _integrate passes it). The clip is
+    np.clip's maximum then minimum, called without np.clip's Python layers."""
     runs, mf = len(edges), sum(e is None for e in edges)
     k, n_c = mf * n, np.array(n, dtype=complex)
-    kvec, omega0 = (np.full((runs, n), a, dtype=float).ravel() for a in (kvec, omega0))
+    kvec = np.full((runs, n), kvec, dtype=float).ravel()
+    omega0 = None if omega0 is None else np.full((runs, n), omega0, dtype=float).ravel()
+    lo, hi = (np.array(b) for b in (-u_max, u_max)) if u_max is not None else (None, None)
     union = tuple(np.concatenate([e[j] + r * n for r, e in enumerate(edges) if e is not None])
                   for j in (0, 1)) if mf < runs else None  # run r's nodes offset by r*n
 
@@ -269,9 +273,10 @@ def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
         def rhs(exponent: np.ndarray) -> None:
             np.exp(exponent, z)
             np.multiply(kvec, grad(), u)
-            np.add(omega0, u, u)
+            if omega0 is not None:
+                np.add(omega0, u, u)
             if u_max is not None:
-                np.clip(u, -u_max, u_max, u)
+                np.minimum(np.maximum(u, lo, out=u), hi, out=u)
 
         return rhs
 
@@ -289,8 +294,11 @@ def _rk4_step(bind, dt: float, m: int):
     plus h u written into the imaginary part of a zeroed buffer (whose real
     part stays +-0, or nan for a non-finite theta): the floats of i*(theta
     + h u), as both turn -0.0 into +0.0. Each operation writes into a buffer
-    in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's."""
-    k1, k2, k3, k4 = ks = [np.empty(3 * m) for _ in range(4)]
+    in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's: the
+    k are rows of one buffer, summed by one reduce that starts from -0.0, as
+    -0.0 + k1 is k1 where numpy's default start +0.0 would turn -0.0 to +0.0."""
+    ks, acc = np.empty((4, 3 * m)), np.empty(3 * m)
+    mid = ks[1:3]
     (u1, f1), (u2, f2), (u3, f3), (_, f4) = (
         (k[:m], bind(k[:m], k[m:].view(complex))) for k in ks)
     itheta, stage = np.empty(m, dtype=complex), np.zeros(m, dtype=complex)
@@ -306,10 +314,9 @@ def _rk4_step(bind, dt: float, m: int):
         f3(np.add(itheta, stage, stage))
         np.multiply(full, u3, stage_imag)
         f4(np.add(itheta, stage, stage))
-        np.add(k1, np.multiply(two, k2, k2), k1)
-        np.add(k1, np.multiply(two, k3, k3), k1)
-        np.add(k1, k4, k1)
-        np.add(y, np.multiply(sixth, k1, k1), out)
+        np.multiply(two, mid, mid)
+        np.add.reduce(ks, 0, None, acc, False, -0.0)
+        np.add(y, np.multiply(sixth, acc, acc), out)
 
     return step
 
@@ -370,9 +377,14 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     Returns views of the recorded headings (S, R, n) and positions (S, R, n,
     2) and of the final headings (R, n), and per run (R,) the sync time and
     the time of its first non-finite recorded or final state, nan for none.
-    Stops early once every run has diverged.
+    Stops early once every run has diverged. When every omega0 is zero and
+    no initial heading is -0.0, the rhs skips adding omega0: adding +0.0
+    only turns a -0.0 command into +0.0, which the stage exponents drop (see
+    _rk4_step) and the final combine shows only on a -0.0 heading, and a
+    heading is -0.0 only if it starts so, as x + y is -0.0 only if both are.
     """
     _, runs, n = y0.shape
+    omega0 = omega0 if np.any(omega0) or np.signbit(y0[0][y0[0] == 0.0]).any() else None
     step = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n), dt, runs * n)
     states = np.empty((n_steps // stride + 1, 3 * runs * n))
     slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))

@@ -8,7 +8,6 @@ it is symmetric positive semi-definite with the all-ones vector in its kernel
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +58,20 @@ class InteractionGraph:
         dst.setflags(write=False)
         return src, dst
 
+    @cached_property
+    def _connected(self) -> bool:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for j, k in self.edges:
+            adj[j].append(k)
+            adj[k].append(j)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
+
     def neighbors(self, k: int) -> list[int]:
         """Sorted neighbours of node k in 0..n-1 (else ValueError), from the edge arrays."""
         if not (0 <= k < self.n and k == int(k)):
@@ -101,22 +114,9 @@ def edge_arrays(g: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_connected(g: InteractionGraph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    if g.n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for j, k in g.edges:
-        adj[j].append(k)
-        adj[k].append(j)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    """Whether every node is reachable from node 0, searched once per graph
+    and cached on it."""
+    return g._connected
 
 
 def laplacian_spectrum(lap) -> tuple[np.ndarray, np.ndarray]:

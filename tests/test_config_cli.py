@@ -3,10 +3,12 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -36,6 +38,9 @@ BASE_DOC = {
     "gains": [-1.0, -1.0],
     "t_max": 30.0,
 }
+
+
+SCENARIO_PINS = Path(__file__).parent / "scenario_outputs.sha256.json"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -547,6 +552,27 @@ class TestOutputs:
         assert runs == sorted(strict_json(stdout)["runs"])
         for run in runs:
             strict_json((out / run / "convergence.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_outputs_match_their_pinned_hashes(self, scenario_outputs, name):
+        """The exit code, the sha256 of stdout and of each file of a bundled
+        scenario at full length equal the pins of tests/scenario_outputs.sha256.json.
+        A speedup must keep these bytes; a failure names each file that moved
+        and the numpy and platform of both runs, as a float's last bit may
+        differ across numpy builds."""
+        code, stdout, out = scenario_outputs[name]
+        pins = json.loads(SCENARIO_PINS.read_text())
+        pin, captured = pins["scenarios"][name], pins["captured_with"]
+        where = (f"numpy {np.__version__} on {platform.system()} {platform.machine()}, pinned "
+                 f"with numpy {captured['numpy']} on {captured['platform']}")
+        files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in out.rglob("*") if p.is_file()}
+        assert code == pin["exit"], f"{name}: exit code {code}, pinned {pin['exit']} ({where})"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == pin["stdout"], (
+            f"{name}: stdout differs from its pin ({where})")
+        moved = sorted(rel for rel in files.keys() | pin["files"].keys()
+                       if files.get(rel) != pin["files"].get(rel))
+        assert not moved, f"{name}: {', '.join(moved)} differ from their pins ({where})"
 
     def test_readme_table_lists_the_keys(self, tmp_path, capsys, scenario_outputs):
         """Each row of README's outputs table lists the keys the CLI gives,

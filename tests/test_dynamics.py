@@ -1005,6 +1005,8 @@ class TestSignedZeroStages:
     x + i*y both turn a -0.0 imaginary part into +0.0; a -0.0 heading whose
     command is -0.0 is where a stage built otherwise would differ."""
 
+    OMEGA0 = -0.0
+
     def test_numpy_turns_negative_zero_imaginary_parts_positive(self):
         theta, hu = np.array([-0.0, -0.0, 0.0, -1.5]), np.array([-0.0, 0.0, -0.0, 0.5])
         plain = np.array(1j) * (theta + hu)  # the exponent of the plain scheme
@@ -1017,17 +1019,17 @@ class TestSignedZeroStages:
         assert np.signbit(theta + hu)[0]  # the -0.0 that writing theta + h u into .imag keeps
         assert same_bits(np.exp(fused), np.exp(plain))
 
-    @staticmethod
-    def configs(topology, runs):
+    @classmethod
+    def configs(cls, topology, runs):
         """Degenerate starts of 3 agents: -0.0 among headings symmetric about
         it (its mean-field command is then -0.0), all-equal headings,
-        headings at +-pi and saturation; omega0 = -0.0 and -0.0 in the
+        headings at +-pi and saturation; omega0 = OMEGA0 and -0.0 in the
         positions throughout. Each kind gives up to three runs that share a
         kernel; "mixed" runs each start on a ring, on a path and under the
         mean-field law, all in one batch, graph runs first in input order."""
         graphs = {"mean-field": [None], "ring": [ring_graph(3)],
                   "mixed": [ring_graph(3), InteractionGraph(3, ((0, 1), (1, 2))), None]}
-        base = dict(n=3, gains=GainVector([-1.0, -0.5, -2.0]), omega0=-0.0,
+        base = dict(n=3, gains=GainVector([-1.0, -0.5, -2.0]), omega0=cls.OMEGA0,
                     positions0=np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -0.0]]), t_max=2.0,
                     record_stride=3)
         starts = {
@@ -1062,6 +1064,36 @@ class TestSignedZeroStages:
             new = step(SwarmState(0.0, cfg.positions0, cfg.theta0), cfg)
             assert same_bits(new.theta, states[1, 0]), cfg.theta0
             assert same_bits(new.positions, states[1, 1:].T), cfg.theta0
+
+
+class TestSignedZeroStagesUnforced(TestSignedZeroStages):
+    """The same starts with omega0 = +0.0, the default. Adding +0.0 turns a
+    -0.0 command into +0.0, and the last add of the combine writes that sign
+    into a -0.0 heading, so the integrator may skip the add only where no
+    heading starts at -0.0 (see dynamics._integrate)."""
+
+    OMEGA0 = 0.0
+
+
+def test_saturating_clip_equals_np_clip_bitwise():
+    """The right-hand side clips with maximum and then minimum against 0-d
+    bounds, bit for bit np.clip's result: on nan, +-inf, +-0.0, subnormals,
+    commands of exactly +-u_max and a subnormal u_max."""
+    n = 12
+    theta = np.r_[np.full(n - 1, 0.3), 2.0]  # the first n-1 agents share one gradient
+    kvec = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-310, -1e-310, 5e-324, 3.0, -3.0,
+                     1e300, -1.0])
+
+    def commands(u_max):
+        u, z = np.empty(n), np.empty(n, dtype=complex)
+        dynamics._make_rhs(kvec, None, [None], u_max, n)(u, z)(1j * theta)
+        return u
+
+    raw = commands(None)
+    assert np.isnan(raw[0]) and np.isinf(raw[1:3]).all() and 0 < abs(raw[5]) < 2.3e-308
+    assert np.signbit(raw[3]) != np.signbit(raw[4]) and raw[8] == -raw[9]
+    for u_max in (abs(raw[8]), abs(raw[5]), 1.0):
+        assert same_bits(commands(u_max), np.clip(raw, -u_max, u_max)), u_max
 
 
 # -- metamorphic oracles: symmetries of the closed loop ----------------------

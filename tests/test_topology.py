@@ -162,6 +162,19 @@ class TestConnectivity:
     def test_edgeless_disconnected(self):
         assert not is_connected(InteractionGraph(2, ()))
 
+    def test_searched_once_and_cached_on_the_graph(self):
+        """Connected and disconnected graphs and a single node, each answered
+        from the graph's cache after the first call."""
+        cases = [(ring_graph(7), True), (InteractionGraph(4, ((0, 1), (2, 3))), False),
+                 (InteractionGraph(5, ((0, 1), (1, 2), (3, 4))), False),
+                 (InteractionGraph(1, ()), True), (InteractionGraph(3, ((2, 0), (1, 2))), True)]
+        for g, connected in cases:
+            assert "_connected" not in vars(g)
+            assert is_connected(g) is connected
+            assert vars(g)["_connected"] is connected
+            vars(g)["_connected"] = "cached"  # a second call reads the cache, not the edges
+            assert is_connected(g) == "cached"
+
     def test_matches_algebraic_connectivity(self):
         """Connectivity by traversal agrees with lambda_2 > 0."""
         for _ in range(60):
