@@ -296,7 +296,8 @@ def _rk4_step(bind, dt: float, m: int):
     + h u), as both turn -0.0 into +0.0. Each operation writes into a buffer
     in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's: the
     k are rows of one buffer, summed by one reduce that starts from -0.0, as
-    -0.0 + k1 is k1 where numpy's default start +0.0 would turn -0.0 to +0.0."""
+    -0.0 + k1 is k1 where numpy's default start +0.0 would turn -0.0 to +0.0.
+    Also returns acc, which after a step holds its increment out - y."""
     ks, acc = np.empty((4, 3 * m)), np.empty(3 * m)
     mid = ks[1:3]
     (u1, f1), (u2, f2), (u3, f3), (_, f4) = (
@@ -318,7 +319,7 @@ def _rk4_step(bind, dt: float, m: int):
         np.add.reduce(ks, 0, None, acc, False, -0.0)
         np.add(y, np.multiply(sixth, acc, acc), out)
 
-    return step
+    return step, acc
 
 
 def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
@@ -355,6 +356,7 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
 # per-step cost of numpy calls dominates, and two at large n, where a larger
 # block and its temporaries would add to the peak memory of the run.
 OBSERVER_BLOCK_BYTES = 2**16
+FREEZE_CHECK_STEPS = 32  # steps between _integrate's fixed-point checks, each ~one numpy call
 
 
 def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,13 +384,25 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     only turns a -0.0 command into +0.0, which the stage exponents drop (see
     _rk4_step) and the final combine shows only on a -0.0 heading, and a
     heading is -0.0 only if it starts so, as x + y is -0.0 only if both are.
+
+    After each FREEZE_CHECK_STEPS steps, and at a block's end, the last two
+    rows of headings are compared bit for bit. Once a step leaves every
+    heading of the batch the same and finite, they are a fixed point of the
+    RK4 map: a step reads only the headings (positions never feed back), so
+    the next one takes the same stages in the same buffers, computes the
+    same increment and leaves them again. Each later step is y + incr, made
+    in the same order by one np.add.accumulate a block. Only a batch whose
+    runs are all frozen skips steps; one that never freezes takes them all,
+    so the step budget's worst case is unchanged.
     """
     _, runs, n = y0.shape
+    m = runs * n
     omega0 = omega0 if np.any(omega0) or np.signbit(y0[0][y0[0] == 0.0]).any() else None
-    step = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n), dt, runs * n)
-    states = np.empty((n_steps // stride + 1, 3 * runs * n))
+    step, incr = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n), dt, m)
+    states = np.empty((n_steps // stride + 1, 3 * m))
     slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
-    block = np.empty((slots, 3 * runs * n))
+    block = np.empty((slots, 3 * m))
+    rows, frozen = list(block), False  # row views made once: each step takes two
     below_since, t_sync, t_bad = (np.full(runs, np.nan) for _ in range(3))
 
     def finite(s: np.ndarray) -> np.ndarray:  # (..., R): each run's state is finite
@@ -401,8 +415,16 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps + 1, slots):
             size = min(slots, n_steps + 1 - start)
-            for i in range(1 if start == 0 else 0, size):
-                step(block[i - 1], block[i])
+            i = 1 if start == 0 else 0  # row -1 is the previous block's last
+            while i < size and not frozen:
+                for j in range(i, min(i + FREEZE_CHECK_STEPS, size)):
+                    step(rows[j - 1], rows[j])
+                i, theta = j + 1, rows[j][:m]
+                frozen = theta.tobytes() == rows[j - 1][:m].tobytes() and np.isfinite(theta).all()
+            if i < size:  # frozen: rows i.. each add incr to the row before
+                np.add(rows[i - 1], incr, rows[i])
+                block[i + 1:size] = incr
+                np.add.accumulate(block[i:size], 0, None, block[i:size])
             t = np.arange(start, start + size) * dt
             if np.isnan(t_sync).any():  # once every run has synchronized, nothing is left to detect
                 _sync_block(_runs(block[:size], runs, n)[0], t, below_since, t_sync)
@@ -448,7 +470,7 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
     kvec, omega0, edges, u_max = _law(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_step(_make_rhs(kvec, omega0, [edges], u_max, cfg.n), cfg.dt, cfg.n)(y, y)
+        _rk4_step(_make_rhs(kvec, omega0, [edges], u_max, cfg.n), cfg.dt, cfg.n)[0](y, y)
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
     return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])

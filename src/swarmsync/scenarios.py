@@ -6,7 +6,7 @@ files plus a scenario-level summary. A scenario's runs go through one
 simulate_batch call, so runs that share n, dt, t_max, stride and clip limit
 are integrated together whatever their law, each equal to its own simulate()
 bit for bit: sim1 and sim1-omega are one batch of four mean-field and ring
-runs each, and sim3-caps and sim3-sat one batch of two.
+runs each, and sim2, sim3-caps and sim3-sat one batch of two.
 
 A scenario is one entry of the table SCENARIOS, which returns its named
 runs; the scenario-specific checks are in _scenario_checks.

@@ -435,6 +435,17 @@ class TestScenario:
         run_scenario(name, tmp_path, t_max=2.0)
         assert calls == [rows]
 
+    @pytest.mark.parametrize("name, executed, nominal", [("sim2", 3303, 6000),
+                                                         ("sim3-sat", 17833, 30000)],
+                             ids=["sim2", "sim3-sat"])
+    def test_fixed_point_skips_steps(self, tmp_path, executed_steps, name, executed, nominal):
+        """The batch's headings reach a fixed point of the RK4 map, after which
+        no step is taken: the RK4 steps taken at full length."""
+        code, _ = run_scenario(name, tmp_path)
+        assert code == 0
+        assert executed_steps[0] == executed
+        assert dynamics._step_counts(SCENARIOS[name]()[0][1])[0] == nominal
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         """Every run is integrated before any file is written, so a run that
@@ -525,6 +536,43 @@ def command_outputs(tmp_path, capsys) -> dict[str, list[str]]:
     return texts
 
 
+# name: (config document, command line with the config as cfg.json), each
+# run in a fresh directory, writing under its relative directory "out"
+PINNED_COMMANDS = {
+    "classify-saddle": ({**BASE_DOC, "n": 3, "theta0_deg": [25, 25, 205], "gains": [-1, -1, -1]},
+                        ["classify", "--config", "cfg.json"]),
+    "error-json": ({**BASE_DOC, "gains": [0.0, -1.0]},
+                   ["simulate", "--config", "cfg.json", "--out", "out"]),
+    "simulate-saturated-ring-omega0": (
+        {**SIX_DOC, "topology": "ring", "omega0": 0.3, "u_max": 0.5, "saturate": True,
+         "t_max": 12.0, "record_stride": 2},
+        ["simulate", "--config", "cfg.json", "--out", "out"]),
+    # its headings reach a fixed point of the RK4 map at step 1432 of 3000
+    "simulate-two-agents-fixed-point": ({**BASE_DOC, "gains": [-2.0, -3.0]},
+                                        ["simulate", "--config", "cfg.json", "--out", "out"]),
+    "synthesize": (SIX_DOC, ["synthesize", "--config", "cfg.json", "--target-deg", "10",
+                             "--out", "out"]),
+}
+
+
+def assert_matches_pin(kind, name, code, stdout, out):
+    """The exit code, the sha256 of stdout and of each file under out equal
+    the pin of name in the kind section of tests/scenario_outputs.sha256.json;
+    a failure names each file that moved and both numpy versions and platforms."""
+    pins = json.loads(SCENARIO_PINS.read_text())
+    pin, captured = pins[kind][name], pins["captured_with"]
+    where = (f"numpy {np.__version__} on {platform.system()} {platform.machine()}, pinned "
+             f"with numpy {captured['numpy']} on {captured['platform']}")
+    files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in out.rglob("*") if p.is_file()}
+    assert code == pin["exit"], f"{name}: exit code {code}, pinned {pin['exit']} ({where})"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == pin["stdout"], (
+        f"{name}: stdout differs from its pin ({where})")
+    moved = sorted(rel for rel in files.keys() | pin["files"].keys()
+                   if files.get(rel) != pin["files"].get(rel))
+    assert not moved, f"{name}: {', '.join(moved)} differ from their pins ({where})"
+
+
 class TestOutputs:
     """Each report's JSON is its fields plus one entry, and every JSON text
     the CLI prints or writes is strict JSON, with the keys README lists."""
@@ -560,19 +608,17 @@ class TestOutputs:
         A speedup must keep these bytes; a failure names each file that moved
         and the numpy and platform of both runs, as a float's last bit may
         differ across numpy builds."""
-        code, stdout, out = scenario_outputs[name]
-        pins = json.loads(SCENARIO_PINS.read_text())
-        pin, captured = pins["scenarios"][name], pins["captured_with"]
-        where = (f"numpy {np.__version__} on {platform.system()} {platform.machine()}, pinned "
-                 f"with numpy {captured['numpy']} on {captured['platform']}")
-        files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                 for p in out.rglob("*") if p.is_file()}
-        assert code == pin["exit"], f"{name}: exit code {code}, pinned {pin['exit']} ({where})"
-        assert hashlib.sha256(stdout.encode()).hexdigest() == pin["stdout"], (
-            f"{name}: stdout differs from its pin ({where})")
-        moved = sorted(rel for rel in files.keys() | pin["files"].keys()
-                       if files.get(rel) != pin["files"].get(rel))
-        assert not moved, f"{name}: {', '.join(moved)} differ from their pins ({where})"
+        assert_matches_pin("scenarios", name, *scenario_outputs[name])
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+    def test_command_outputs_match_their_pinned_hashes(self, tmp_path, monkeypatch, capsys,
+                                                       name):
+        """As the scenario pins, for the fast commands of PINNED_COMMANDS."""
+        doc, argv = PINNED_COMMANDS[name]
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, doc)
+        code = main(argv)
+        assert_matches_pin("commands", name, code, capsys.readouterr().out, tmp_path / "out")
 
     def test_readme_table_lists_the_keys(self, tmp_path, capsys, scenario_outputs):
         """Each row of README's outputs table lists the keys the CLI gives,

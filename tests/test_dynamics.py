@@ -691,15 +691,79 @@ def core_configs():
     return cfgs
 
 
+def fixed_point_configs():
+    """Runs whose headings become a fixed point of the RK4 map, bit for bit,
+    well before t_max: a 2-agent mixed-gain run (sim2's gains), a 2-agent
+    run of negative gains and a saturated run."""
+    two = dict(n=2, theta0=np.deg2rad([-60.0, 60.0]))
+    return [
+        SimulationConfig(**two, gains=GainVector([-3.0, 1.0]), t_max=45.0, record_stride=5,
+                         positions0=np.array([[1.0, -2.0], [0.5, 3.0]])),
+        SimulationConfig(**two, gains=GainVector([-2.0, -3.0]), t_max=30.0, record_stride=7),
+        SimulationConfig(n=3, theta0=np.array([0.2, 0.5, 0.9]),
+                         gains=GainVector([-2.0, -3.0, -2.5]), u_max=0.3, saturate=True,
+                         t_max=25.0, record_stride=3),
+    ]
+
+
+def first_fixed_row(theta) -> int | None:
+    """The first step s whose headings equal those of step s - 1 bit for bit."""
+    same = [a.tobytes() == b.tobytes() for a, b in zip(theta[1:], theta[:-1])]
+    return same.index(True) + 1 if True in same else None
+
+
 class TestIntegratorCore:
-    @pytest.mark.parametrize("cfg", core_configs(), ids=lambda c: (
+    @pytest.mark.parametrize("cfg", core_configs() + fixed_point_configs(), ids=lambda c: (
         f"n{c.n}-s{c.record_stride}-{'mf' if c.topology is None else c.topology.edge_count}"
         f"-w{c.omega0:g}-{'sat' if c.saturate else 'free'}"))
     def test_simulate_equals_the_serial_loop(self, cfg):
         """Mean-field at n = 2..8, ring and explicit-edge graphs, omega0 != 0,
-        saturation and strides 1, 3 and 10."""
+        saturation and strides 1, 3 and 10; and runs that reach a fixed
+        point of the RK4 map, whose later steps are filled, not taken."""
         traj, report = simulate(cfg)
         assert report.synchronized
+        assert_matches_reference(cfg, traj, report)
+
+    @pytest.mark.parametrize("cfg", fixed_point_configs(), ids=["two-mixed", "two", "saturated"])
+    def test_fixed_point_is_found_within_one_check(self, executed_steps, cfg):
+        """The headings of the serial loop stop changing at some step F; the
+        run takes at least F steps and fewer than F + FREEZE_CHECK_STEPS."""
+        fixed = first_fixed_row(reference_run(dataclasses.replace(cfg, record_stride=1))[0][:, 0])
+        simulate(cfg)
+        assert fixed <= executed_steps[0] < fixed + dynamics.FREEZE_CHECK_STEPS
+        assert executed_steps[0] < int(cfg.t_max / cfg.dt + 1e-9)
+
+    @pytest.mark.parametrize("frozen_first", [True, False], ids=["frozen-first", "frozen-last"])
+    def test_batch_with_one_row_frozen_takes_every_step(self, executed_steps, frozen_first):
+        """A batch of a run that freezes and one that turns at omega0 and
+        never does takes every step, and each row equals its own simulate()."""
+        frozen = fixed_point_configs()[1]
+        turning = dataclasses.replace(frozen, theta0=np.array([0.3, -0.4]), omega0=0.5)
+        cfgs = [frozen, turning] if frozen_first else [turning, frozen]
+        results = simulate_batch(cfgs)
+        steps = int(frozen.t_max / frozen.dt + 1e-9)
+        assert executed_steps[0] == steps
+        for cfg, result in zip(cfgs, results):
+            executed_steps[0] = 0
+            assert_same_run(result, simulate(cfg))
+            assert (executed_steps[0] < steps) == (cfg is frozen)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_fixed_point_on_block_boundaries(self, monkeypatch, executed_steps, where):
+        """Blocks sized so the check that finds the fixed point at step F
+        falls on a block's last row, and the fill starts on the next block's
+        first row from the end of the block before ("first": blocks of F + 1
+        rows); or on a block's second-to-last row, so the fill is its last
+        row alone ("last": a first block of F - 31 rows, then one of 33)."""
+        cfg = dataclasses.replace(fixed_point_configs()[1], record_stride=1)
+        fixed = first_fixed_row(reference_run(cfg)[0][:, 0])
+        slots = fixed + 1
+        if where == "last":
+            slots = fixed - (dynamics.FREEZE_CHECK_STEPS - 1)
+            cfg = dataclasses.replace(cfg, t_max=(fixed + 1.5) * cfg.dt)
+        monkeypatch.setattr(dynamics, "OBSERVER_BLOCK_BYTES", slots * 3 * cfg.n * 8)
+        traj, report = simulate(cfg)
+        assert executed_steps[0] == fixed
         assert_matches_reference(cfg, traj, report)
 
     def test_never_synchronizing_run(self):
