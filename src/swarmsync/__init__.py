@@ -14,8 +14,6 @@ from .analysis import (
     ReachabilityReport,
     RotatedFrame,
     classify_critical_point,
-    conic_hull_contains,
-    convex_weights,
     critical_point_hessian,
     is_reachable,
     perturbation_bounds,
@@ -28,7 +26,6 @@ from .analysis import (
 from .angles import heading_spread, wrap_angle
 from .config import ConfigError, dump_config, load_config, parse_config
 from .control import (
-    GainClass,
     GainVector,
     control_all_to_all,
     control_limited,
@@ -61,7 +58,6 @@ from .topology import (
     complete_graph,
     is_connected,
     laplacian,
-    laplacian_spectrum,
     ring_graph,
 )
 
@@ -75,8 +71,6 @@ __all__ = [
     "ReachabilityReport",
     "RotatedFrame",
     "classify_critical_point",
-    "conic_hull_contains",
-    "convex_weights",
     "critical_point_hessian",
     "is_reachable",
     "perturbation_bounds",
@@ -91,7 +85,6 @@ __all__ = [
     "dump_config",
     "load_config",
     "parse_config",
-    "GainClass",
     "GainVector",
     "control_all_to_all",
     "control_limited",
@@ -119,6 +112,5 @@ __all__ = [
     "complete_graph",
     "is_connected",
     "laplacian",
-    "laplacian_spectrum",
     "ring_graph",
 ]

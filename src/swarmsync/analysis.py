@@ -88,18 +88,6 @@ def _require_acute(frame: RotatedFrame) -> RotatedFrame:
     return frame
 
 
-def _require_all_negative(gains) -> np.ndarray:
-    k = as_gains(gains)
-    if np.any(k > 0.0):
-        raise ValueError("all gains must be negative for this operation")
-    return k
-
-
-def _rotated_prediction(theta_hat0: np.ndarray, k: np.ndarray) -> float:
-    inv = 1.0 / k
-    return float((theta_hat0 @ inv) / inv.sum())
-
-
 def predict_direction(theta0, gains) -> float:
     """Synchronized direction for all-negative gains, wrapped to (-pi, pi]."""
     return _prediction(_require_acute(rotated_frame(theta0)), gains)
@@ -107,21 +95,13 @@ def predict_direction(theta0, gains) -> float:
 
 def _prediction(frame: RotatedFrame, gains) -> float:
     """predict_direction on a frame already computed and checked acute."""
-    k = _require_all_negative(gains)
+    k = as_gains(gains)
+    if np.any(k > 0.0):
+        raise ValueError("all gains must be negative for this operation")
     if k.size != frame.theta_hat0.size:
         raise ValueError("gains length does not match headings")
-    return float(wrap_angle(_rotated_prediction(frame.theta_hat0, k) + frame.theta_R))
-
-
-def convex_weights(gains) -> np.ndarray:
-    """Weights lambda_k = (1/K_k) / sum_j (1/K_j); positive, summing to 1.
-
-    The predicted direction is exactly sum_k lambda_k * theta_hat_k0 in the
-    rotated frame.
-    """
-    k = _require_all_negative(gains)
     inv = 1.0 / k
-    return inv / inv.sum()
+    return float(wrap_angle(float((frame.theta_hat0 @ inv) / inv.sum()) + frame.theta_R))
 
 
 @dataclass(frozen=True)
@@ -443,23 +423,3 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
         raise ValueError("saddle witness failed; configuration is not a clean saddle")
     return CriticalPointConfig(m, op.magnitude, CriticalKind.SADDLE)
 
-
-def conic_hull_contains(theta0, point) -> bool:
-    """Membership of a complex point in the unit-disk slice of the initial cone.
-
-    The cone is the angular sector [theta_R, theta_R + span] spanned by the
-    initial unit heading vectors; zero counts as contained. Requires an acute
-    cone.
-    """
-    frame = _require_acute(rotated_frame(theta0))
-    if isinstance(point, (tuple, list)) and len(point) == 2:
-        z = complex(point[0], point[1])
-    else:
-        z = complex(point)
-    r = abs(z)
-    if r > 1.0 + 1e-12:
-        return False
-    if r < 1e-15:
-        return True
-    ang = float(np.mod(np.angle(z) - frame.theta_R, TWO_PI))
-    return ang <= frame.span + 1e-12 or ang >= TWO_PI - 1e-12

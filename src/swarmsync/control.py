@@ -16,7 +16,6 @@ which bounds |u_k| by u_max analytically, or clipping the command itself.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -24,12 +23,6 @@ import numpy as np
 
 from .phase import _grad, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
-
-
-class GainClass(str, enum.Enum):
-    ALL_NEGATIVE = "all_negative"
-    MIXED_SUM_NEGATIVE = "mixed_sum_negative"
-    OTHER = "other"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +48,8 @@ class GainVector:
         return self.gains.size
 
     @property
-    def classification(self) -> GainClass:
-        if np.all(self.gains < 0.0):
-            return GainClass.ALL_NEGATIVE
-        if self.gains.sum() < 0.0:
-            return GainClass.MIXED_SUM_NEGATIVE
-        return GainClass.OTHER
-
-    @property
     def all_negative(self) -> bool:
-        return self.classification is GainClass.ALL_NEGATIVE
+        return bool(np.all(self.gains < 0.0))
 
 
 def as_gains(gains) -> np.ndarray:

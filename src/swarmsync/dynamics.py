@@ -15,6 +15,7 @@ to roundoff); wrapping happens only at reporting boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import heading_spread, wrap_angle
-from .control import GainClass, GainVector
+from .control import GainVector
 from .phase import ZERO_MAGNITUDE_TOL, _grad, _potential, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
@@ -89,6 +90,10 @@ class SimulationConfig:
     jitter: bool = False
 
     def __post_init__(self):
+        seed = 0 if self.seed is None else self.seed
+        for name, value in (("n", self.n), ("record_stride", self.record_stride), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("need at least 2 agents")
         th = as_heading_vector(self.theta0)
@@ -118,7 +123,7 @@ class SimulationConfig:
             raise ValueError("t_max must exceed dt")
         if not 1 <= self.record_stride <= STEP_BUDGET:  # a larger stride records nothing more
             raise ValueError(f"record_stride must be between 1 and the step budget {STEP_BUDGET}")
-        if self.seed is not None and self.seed < 0:
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.topology is not None and self.topology.n != self.n:
             raise ValueError("topology node count does not match n")
@@ -453,7 +458,8 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
     """The run's initial joint state [theta; x; y], (3, n), with the seeded
     heading jitter if set; warns when the gains or the graph give no
     convergence guarantee."""
-    if cfg.gains.classification is GainClass.OTHER:
+    # all-negative gains need no sum, which near the float limit overflows with a numpy warning
+    if not (cfg.gains.all_negative or cfg.gains.gains.sum() < 0.0):
         warnings.warn("gain set has non-negative sum; no descent guarantee applies")
     if cfg.topology is not None and not is_connected(cfg.topology):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")

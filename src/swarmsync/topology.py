@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-ZERO_EIGENVALUE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class InteractionGraph:
@@ -117,17 +115,3 @@ def is_connected(g: InteractionGraph) -> bool:
     """Whether every node is reachable from node 0, searched once per graph
     and cached on it."""
     return g._connected
-
-
-def laplacian_spectrum(lap) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Laplacian.
-
-    Uses the symmetric eigensolver; eigenvalues near zero within
-    ZERO_EIGENVALUE_TOL are snapped to exactly 0 so the kernel test is stable.
-    """
-    lap = np.asarray(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError("Laplacian must be a square matrix")
-    w, v = np.linalg.eigh(lap)
-    w = np.where(np.abs(w) < ZERO_EIGENVALUE_TOL, 0.0, w)
-    return w, v

@@ -16,8 +16,6 @@ from swarmsync import (
     SimulationConfig,
     alignment_potential,
     classify_critical_point,
-    conic_hull_contains,
-    convex_weights,
     critical_point_hessian,
     is_connected,
     is_reachable,
@@ -206,30 +204,38 @@ class TestGraphDirection:
 
 
 class TestConvexWeights:
+    """The prediction is the convex combination of the rotated initial
+    headings with weights (1/K_k) / sum_j (1/K_j)."""
+
     def test_equal_gains(self):
-        np.testing.assert_allclose(convex_weights([-1.0, -1.0]), [0.5, 0.5], atol=1e-15)
+        # equal weights: a pair's midpoint
+        assert predict_direction([0.2, 0.6], [-1.0, -1.0]) == pytest.approx(0.4, abs=1e-15)
 
     def test_two_to_one(self):
-        # normalize (-1, -1/2)
-        np.testing.assert_allclose(convex_weights([-1.0, -2.0]), [2 / 3, 1 / 3], atol=1e-15)
+        # gains (-1, -2) weigh the headings 2/3 and 1/3
+        assert predict_direction([0.0, 0.3], [-1.0, -2.0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_positive_and_normalized(self):
+        """Positive weights summing to 1 put the prediction strictly inside
+        the initial arc, for any negative gains."""
         for _ in range(100):
-            n = int(RNG.integers(2, 10))
-            lam = convex_weights(-(10.0 ** RNG.uniform(-1, 1, n)))
-            assert np.all(lam > 0)
-            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            theta0, _ = random_acute_headings(RNG)
+            frame = rotated_frame(theta0)
+            gains = -(10.0 ** RNG.uniform(-1, 1, theta0.size))
+            hat_c = np.mod(predict_direction(theta0, gains) - frame.theta_R, 2 * np.pi)
+            assert 0.0 < hat_c < frame.span
 
     def test_reproduces_prediction(self, six_theta0):
         gains = named_gain_set("set1", 6)
         frame = rotated_frame(six_theta0)
-        lam = convex_weights(gains)
+        lam = (1.0 / gains) / np.sum(1.0 / gains)
         rebuilt = wrap_angle(lam @ frame.theta_hat0 + frame.theta_R)
         assert rebuilt == pytest.approx(predict_direction(six_theta0, gains), abs=1e-12)
 
     def test_rejects_positive(self):
+        # one positive gain makes the 1/K weights (2, -1): not convex
         with pytest.raises(ValueError):
-            convex_weights([-1.0, 2.0])
+            predict_direction([0.0, 0.3], [-1.0, 2.0])
 
 
 class TestIsReachable:
@@ -717,23 +723,33 @@ class TestTwoEntryWitness:
         assert out.p_mag == pytest.approx((n - 2 * m) / n, abs=1e-12)
 
 
+def in_cone(theta0, points) -> np.ndarray:
+    """Whether each complex point lies in the unit-disk slice of the acute
+    cone spanned by the initial unit heading vectors: the sector
+    [theta_R, theta_R + span], with 1e-12 of slack on the radius and angle."""
+    frame = rotated_frame(theta0)
+    assert frame.acute
+    p = np.asarray(points, dtype=complex)
+    ang = np.mod(np.angle(p) - frame.theta_R, 2 * np.pi)
+    in_sector = (ang <= frame.span + 1e-12) | (ang >= 2 * np.pi - 1e-12)
+    return (np.abs(p) <= 1.0 + 1e-12) & in_sector
+
+
 class TestConicHull:
+    """The paper's cone invariant: for negative gains the order parameter
+    never leaves the cone of the initial headings."""
+
     def test_initial_order_parameter_contained(self):
         for _ in range(100):
             theta0, _ = random_acute_headings(RNG)
-            p = np.exp(1j * theta0).mean()
-            assert conic_hull_contains(theta0, complex(p))
+            assert in_cone(theta0, np.exp(1j * theta0).mean())
 
     def test_point_just_outside_sector(self, six_theta0):
         frame = rotated_frame(six_theta0)
-        z = np.exp(1j * (frame.theta_R - 0.1))
-        assert not conic_hull_contains(six_theta0, complex(z))
-
-    def test_zero_contained(self, six_theta0):
-        assert conic_hull_contains(six_theta0, 0j)
+        assert not in_cone(six_theta0, np.exp(1j * (frame.theta_R - 0.1)))
 
     def test_outside_unit_disk(self, six_theta0):
-        assert not conic_hull_contains(six_theta0, complex(1.5 * np.exp(1j * 0.0)))
+        assert not in_cone(six_theta0, 1.5 * np.exp(1j * 0.0))
 
     def test_trajectory_sweep(self, six_theta0):
         """Every recorded order parameter of a negative-gain run stays in the
@@ -742,8 +758,7 @@ class TestConicHull:
             n=6, theta0=six_theta0, gains=GainVector(named_gain_set("set1", 6)), t_max=25.0
         )
         traj, _ = simulate(cfg)
-        p = np.exp(1j * traj.theta).mean(axis=1)
-        assert all(conic_hull_contains(six_theta0, complex(v)) for v in p)
+        assert in_cone(six_theta0, np.exp(1j * traj.theta).mean(axis=1)).all()
 
     def test_trajectory_sweep_ring(self, six_theta0):
         """Containment is only argued loosely for neighbor coupling, so this
@@ -757,12 +772,14 @@ class TestConicHull:
             t_max=25.0,
         )
         traj, _ = simulate(cfg)
-        p = np.exp(1j * traj.theta).mean(axis=1)
-        assert all(conic_hull_contains(six_theta0, complex(v)) for v in p)
+        assert in_cone(six_theta0, np.exp(1j * traj.theta).mean(axis=1)).all()
 
     def test_non_acute_raises(self):
+        """Opposite headings span no acute cone, so the library's cone
+        membership of a direction is refused."""
+        assert not rotated_frame([-np.pi / 2, np.pi / 2]).acute
         with pytest.raises(NonAcuteConeError):
-            conic_hull_contains([-np.pi / 2, np.pi / 2], 0.5 + 0j)
+            is_reachable([-np.pi / 2, np.pi / 2], 0.0)
 
 
 def test_ring_eigenvector_configurations_are_graph_critical():

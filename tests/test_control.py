@@ -1,10 +1,9 @@
-"""Turn-rate commands, gain classification, saturation, and the gain cap."""
+"""Turn-rate commands, gain validation, saturation, and the gain cap."""
 
 import numpy as np
 import pytest
 
 from swarmsync import (
-    GainClass,
     GainVector,
     SimulationConfig,
     alignment_potential_grad,
@@ -32,15 +31,6 @@ class TestGainVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             GainVector([-1.0, np.inf])
-
-    def test_classification_all_negative(self):
-        assert GainVector([-1.0, -0.2]).classification is GainClass.ALL_NEGATIVE
-
-    def test_classification_mixed_sum_negative(self):
-        assert GainVector([0.5, -2.0]).classification is GainClass.MIXED_SUM_NEGATIVE
-
-    def test_classification_other(self):
-        assert GainVector([1.0, -0.5]).classification is GainClass.OTHER
 
     def test_gains_are_read_only(self):
         g = GainVector([-1.0, -2.0])

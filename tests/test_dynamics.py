@@ -80,6 +80,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="topology"):
             make_config(topology=ring_graph(3))
 
+    @pytest.mark.parametrize("name, value", [("n", 2.0), ("n", True), ("record_stride", 2.5),
+                                             ("record_stride", True), ("seed", 1.5),
+                                             ("seed", True)])
+    def test_counts_must_be_integers(self, name, value):
+        """A float count is a ValueError naming the field, not numpy's
+        TypeError from inside the run; a bool is not read as 0 or 1."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            make_config(**{name: value}, jitter=True)
+
+    def test_numpy_integer_counts_run(self):
+        cfg = make_config(n=np.int64(2), record_stride=np.int64(2), seed=np.int64(3),
+                          jitter=True, t_max=1.0)
+        traj, _ = simulate(cfg)
+        assert traj.theta.shape == (51, 2)
+
 
 class TestStep:
     def test_synchronized_equilibrium_translates(self):
@@ -339,6 +354,30 @@ class TestSimulate:
         cfg = make_config(gains=GainVector([1.0, -0.5]), t_max=1.0)
         with pytest.warns(UserWarning, match="descent"):
             simulate(cfg)
+
+
+class TestGainSumWarning:
+    """A run warns exactly when its gains do not sum below 0, the two-agent
+    condition K_1 + K_2 < 0 applied at every n."""
+
+    @staticmethod
+    def start(gains):
+        n = len(gains)
+        return dynamics._start(make_config(n=n, theta0=np.linspace(0.0, 1.0, n), gains=gains))
+
+    @pytest.mark.parametrize("gains", [[-1.0, -0.2, -3.0], [0.5, -2.0]],
+                             ids=["all-negative", "mixed"])
+    def test_sum_below_zero_is_silent(self, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.start(gains)
+
+    @pytest.mark.parametrize("gains", [[1.0, -1.0], [1e308, 1e308, -1e308, -1e308]],
+                             ids=["sum-zero", "sum-overflows"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the sum itself overflows
+    def test_sum_not_below_zero_warns(self, gains):
+        with pytest.warns(UserWarning, match="^gain set has non-negative sum"):
+            self.start(gains)
 
 
 def explicit_rotating_frame(traj, omega0):

@@ -1,75 +1,39 @@
-"""The package's exported names: a change to the public surface shows up here."""
+"""The package's exported names, pinned by README's "Library use" section: a
+change to the public surface shows up here, and the README cannot drift from
+it."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
 
 import swarmsync
 
-PUBLIC_NAMES = {
-    # analysis
-    "CriticalKind",
-    "CriticalPointConfig",
-    "NonAcuteConeError",
-    "PerturbationBounds",
-    "ReachabilityReport",
-    "RotatedFrame",
-    "classify_critical_point",
-    "conic_hull_contains",
-    "convex_weights",
-    "critical_point_hessian",
-    "is_reachable",
-    "perturbation_bounds",
-    "predict_direction",
-    "rotated_frame",
-    "synthesize_gains",
-    "two_agent_direction",
-    "two_agent_gains",
-    # angles
-    "heading_spread",
-    "wrap_angle",
-    # config
-    "ConfigError",
-    "dump_config",
-    "load_config",
-    "parse_config",
-    # control
-    "GainClass",
-    "GainVector",
-    "control_all_to_all",
-    "control_limited",
-    "gain_cap",
-    "named_gain_set",
-    # dynamics
-    "ConvergenceReport",
-    "DivergenceError",
-    "SimulationConfig",
-    "SwarmState",
-    "TrajectoryRecord",
-    "rotating_frame",
-    "simulate",
-    "simulate_batch",
-    "step",
-    # phase
-    "OrderParameter",
-    "alignment_potential",
-    "alignment_potential_grad",
-    "laplacian_potential",
-    "laplacian_potential_grad",
-    "lyapunov_rate",
-    "order_parameter",
-    # scenarios
-    "SCENARIOS",
-    "run_scenario",
-    # topology
-    "InteractionGraph",
-    "complete_graph",
-    "is_connected",
-    "laplacian",
-    "laplacian_spectrum",
-    "ring_graph",
-}
+LIBRARY_USE = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+# the section's "- `module`: `name`, ..." list, whose items may wrap
+PUBLIC_NAMES = {module: re.findall(r"`(\w+)`", names) for module, names in
+                re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", LIBRARY_USE, re.M | re.S)}
 
 
 def test_exported_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 53
+    listed = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert len(listed) == len(set(listed)) == 49
     assert len(swarmsync.__all__) == len(set(swarmsync.__all__))
-    assert set(swarmsync.__all__) == PUBLIC_NAMES
-    for name in swarmsync.__all__:
-        assert getattr(swarmsync, name) is not None, name
+    assert set(swarmsync.__all__) == set(listed)
+    for module, names in PUBLIC_NAMES.items():
+        home = importlib.import_module(f"swarmsync.{module}")
+        for name in names:
+            assert getattr(swarmsync, name) is getattr(home, name), name
+
+
+def test_library_use_example_runs(capsys):
+    code = re.search(r"^```python\n(.*?)^```$", LIBRARY_USE, re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    direction, run = capsys.readouterr().out.splitlines()
+    assert float(direction) == pytest.approx(-26.9388, abs=5e-5)  # the block's comment
+    synchronized, t_sync, heading = run.split()
+    assert synchronized == "True" and float(t_sync) > 0.0
+    assert float(heading) == pytest.approx(float(direction), abs=1e-6)
