@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from functools import partial
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii
@@ -27,7 +27,7 @@ import numpy as np
 
 from .angles import heading_spread, wrap_angle
 from .control import GainVector
-from .phase import ZERO_MAGNITUDE_TOL, _grad, _potential, as_heading_vector
+from .phase import ZERO_MAGNITUDE_TOL, _edge_products, _grad, _potential, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
@@ -35,6 +35,7 @@ from .topology import laplacian  # noqa: F401
 
 SYNC_TOL = 1e-4  # rad; largest pairwise wrapped spread counting as synchronized
 SYNC_HOLD = 1.0  # s; spread must stay below SYNC_TOL this long
+SYNC_PREFIX = 8  # agents whose spread _sync_block tests before all n (see there)
 
 CSV_FLOAT_FMT = "%.17g"
 
@@ -156,7 +157,10 @@ class TrajectoryRecord:
     """Sampled time series of one run (sample s, agent k indexing). The order
     parameter, potentials and conserved sum are derived from theta on
     construction; mean-field runs (edges None) report N*U as graph_potential.
-    ``edges`` are the graph's directed edge arrays from topology.edge_arrays."""
+    ``edges`` are the graph's directed edge arrays from topology.edge_arrays.
+    A caller that has already computed z = exp(1j*theta) and, for a graph,
+    phase._edge_products(z, *edges) passes them so that they are not
+    computed again; they are not stored, so replace() derives them anew."""
 
     times: np.ndarray
     theta: np.ndarray
@@ -171,15 +175,19 @@ class TrajectoryRecord:
     potential: np.ndarray = field(init=False)
     graph_potential: np.ndarray = field(init=False)
     conserved: np.ndarray = field(init=False)
+    z: InitVar[np.ndarray | None] = None
+    edge_products: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        z = np.exp(1j * self.theta)
+    def __post_init__(self, z, edge_products):
+        if z is None:
+            z = np.exp(1j * self.theta)
         p = z.mean(axis=1)
         self.p_mag = np.abs(p)
         self.p_psi = np.where(self.p_mag > ZERO_MAGNITUDE_TOL, np.angle(p), np.nan)
         self.potential = _potential(z, None)
         self.graph_potential = (
-            self.n * self.potential if self.edges is None else _potential(z, self.edges)
+            self.n * self.potential if self.edges is None
+            else _potential(z, self.edges, edge_products)
         )
         self.conserved = self.theta @ (1.0 / self.gains)
 
@@ -339,7 +347,22 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
     below SYNC_TOL, closes at the next step that is not, and counts once
     t - start >= SYNC_HOLD at one of its steps. The spread is exact whenever
     the headings fit in an arc < pi, which covers the sync threshold regime.
+
+    Runs of more than SYNC_PREFIX agents first test the spread of agents
+    0..SYNC_PREFIX-1 alone. Their wrapped differences from agent 0 are the
+    same floats as the first entries of the full d below, so their max is
+    at most the full max and their min at least the full min, and rounded
+    subtraction is monotone: the prefix spread is never above the full one
+    (a nan among the agents leaves the full spread nan, never below). A
+    block in which no step's prefix spread is below SYNC_TOL therefore
+    closes every window, as the full test would, without wrapping all n
+    headings; any other block takes the full test.
     """
+    if theta.shape[-1] > SYNC_PREFIX:
+        d = wrap_angle(theta[..., :SYNC_PREFIX] - theta[..., :1])
+        if not (d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL).any():
+            below_since[:] = np.nan
+            return
     d = wrap_angle(theta - theta[..., :1])
     below = d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL
     if not below.any():  # every window closes: the common case before sync
@@ -359,7 +382,10 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
 # The sync observer evaluates the states of as many steps at once as fit in
 # this many bytes (at least two): hundreds of steps at small n, where the
 # per-step cost of numpy calls dominates, and two at large n, where a larger
-# block and its temporaries would add to the peak memory of the run.
+# block and its temporaries would add to the peak memory of the run. There,
+# a block far from sync costs the prefix test of _sync_block alone: the
+# spread of SYNC_PREFIX agents is a lower bound on the spread of all n, so
+# a block it finds nowhere below SYNC_TOL is one the full test would too.
 OBSERVER_BLOCK_BYTES = 2**16
 FREEZE_CHECK_STEPS = 32  # steps between _integrate's fixed-point checks, each ~one numpy call
 
@@ -458,8 +484,11 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
     """The run's initial joint state [theta; x; y], (3, n), with the seeded
     heading jitter if set; warns when the gains or the graph give no
     convergence guarantee."""
-    # all-negative gains need no sum, which near the float limit overflows with a numpy warning
-    if not (cfg.gains.all_negative or cfg.gains.gains.sum() < 0.0):
+    # near the float limit the sum overflows to +-inf, which still decides the
+    # test, so numpy's overflow warning would only repeat the warning below
+    with np.errstate(over="ignore"):
+        descent = cfg.gains.all_negative or cfg.gains.gains.sum() < 0.0
+    if not descent:
         warnings.warn("gain set has non-negative sum; no descent guarantee applies")
     if cfg.topology is not None and not is_connected(cfg.topology):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
@@ -491,16 +520,20 @@ def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
     # the commands the right-hand side evaluates at each sample, and where
     # clipping changed them (strictly beyond u_max); a gain near the float
     # limit overflows a command to +-inf, which the clip bounds, so numpy's
-    # overflow warning is silenced as in _integrate
+    # overflow warning is silenced as in _integrate. z and the edge products
+    # also give the record's derived columns.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = omega0 + kvec * _grad(np.exp(1j * theta_s), edges)
+        z = np.exp(1j * theta_s)
+        products = None if edges is None else _edge_products(z, *edges)
+        u = omega0 + kvec * _grad(z, edges, products)
     if u_max is None:
         controls, saturated = u, np.zeros_like(u, dtype=bool)
     else:
         controls, saturated = np.clip(u, -u_max, u_max), np.abs(u) > u_max
     traj = TrajectoryRecord(times=np.arange(len(theta_s)) * cfg.record_stride * cfg.dt,
                             theta=theta_s, positions=positions[:, b], controls=controls,
-                            saturated=saturated, gains=kvec, omega0=omega0, edges=edges)
+                            saturated=saturated, gains=kvec, omega0=omega0, edges=edges,
+                            z=z, edge_products=products)
     synchronized = not np.isnan(t_sync)
     heading = (float(np.angle(np.exp(1j * (final - omega0 * (n_steps * cfg.dt))).mean()))
                if synchronized else None)

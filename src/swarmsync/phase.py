@@ -75,7 +75,8 @@ def _edge_products(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarra
     return prod
 
 
-def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
+          products: np.ndarray | None = None) -> np.ndarray:
     """dPhi/dtheta_k for unit heading vectors z = e^{i theta} of shape (..., n).
 
     ``edges`` None selects the mean-field potential, otherwise the graph
@@ -85,26 +86,32 @@ def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndar
     bincount (leading axes get row offsets, so each row sums in the order a
     1-D call does). The one coupling kernel: the integrator's right-hand
     side, the recorded controls, the control API and the public gradients
-    all evaluate it, so they agree bit for bit.
+    all evaluate it, so they agree bit for bit. ``products`` is
+    _edge_products(z, src, dst) when the caller already has it, as a record
+    does for both _grad and _potential.
     """
     if edges is None:  # Im(conj(p) z_k) with p the mean; a 1-D z keeps p a scalar
         p = np.add.reduce(z, axis=-1, keepdims=z.ndim > 1) / z.shape[-1]
         return (np.conj(p) * z).imag
     src, dst = edges
-    if z.ndim == 1:  # the RHS path: plain indexing, no reshape
-        return np.bincount(src, (z[src] * z[dst].conj()).imag, z.size)
-    w = _edge_products(z, src, dst).imag
+    if products is None:
+        if z.ndim == 1:  # the RHS path: plain indexing, no reshape
+            return np.bincount(src, (z[src] * z[dst].conj()).imag, z.size)
+        products = _edge_products(z, src, dst)
     rows = np.arange(0, z.size, z.shape[-1])[:, None]
-    return np.bincount((src + rows).ravel(), w.ravel(), z.size).reshape(z.shape)
+    return np.bincount((src + rows).ravel(), products.imag.ravel(), z.size).reshape(z.shape)
 
 
-def _potential(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Phi over the last axis of z, the potential whose gradient is _grad."""
+def _potential(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
+               products: np.ndarray | None = None) -> np.ndarray:
+    """Phi over the last axis of z, the potential whose gradient is _grad
+    (``products`` as there)."""
     if edges is None:
         n = z.shape[-1]
         return 0.5 * n * (1.0 - np.abs(z.sum(axis=-1) / n) ** 2)
-    src, dst = edges
-    return 0.5 * np.sum(1.0 - _edge_products(z, src, dst).real, axis=-1)
+    if products is None:
+        products = _edge_products(z, *edges)
+    return 0.5 * np.sum(1.0 - products.real, axis=-1)
 
 
 def alignment_potential(theta) -> float:

@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -213,3 +214,21 @@ class TestBudgetMessages:
         assert "record budget" in err["message"]
         assert len(err["message"]) < 200
         assert not (out / "sim1").exists() and not (out / "trajectory.csv").exists()
+
+
+class TestLayerTimer:
+    """tools/time_layers.py, run once at n = 8 with one short repeat: a
+    changed signature of a timed internal fails here, not when someone next
+    measures."""
+
+    @pytest.mark.parametrize("topology", ["ring", "mean-field"])
+    def test_prints_every_layer(self, topology):
+        script = Path(__file__).resolve().parents[1] / "tools" / "time_layers.py"
+        proc = subprocess.run([sys.executable, str(script), "--n", "8", "--topology", topology,
+                               "--repeats", "1"],
+                              capture_output=True, text=True, timeout=120, check=True)
+        doc = json.loads(proc.stdout)
+        assert (doc["n"], doc["topology"], doc["samples"]) == (8, topology, 11)
+        assert set(doc["layers_us"]) == {"rhs", "step", "observer", "outcome", "csv", "geometry"}
+        assert all(layer["median"] > 0.0 and layer["calls"] >= 1
+                   for layer in doc["layers_us"].values())

@@ -31,7 +31,7 @@ from swarmsync import (
     step,
     wrap_angle,
 )
-from swarmsync import dynamics
+from swarmsync import dynamics, phase
 from swarmsync.dynamics import SYNC_HOLD, SYNC_TOL
 from swarmsync.topology import edge_arrays, is_connected
 
@@ -374,10 +374,12 @@ class TestGainSumWarning:
 
     @pytest.mark.parametrize("gains", [[1.0, -1.0], [1e308, 1e308, -1e308, -1e308]],
                              ids=["sum-zero", "sum-overflows"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the sum itself overflows
     def test_sum_not_below_zero_warns(self, gains):
-        with pytest.warns(UserWarning, match="^gain set has non-negative sum"):
+        """The one warning is the gain-set warning: a sum that overflows to
+        +inf still decides it, with no numpy overflow warning beside it."""
+        with pytest.warns(UserWarning, match="^gain set has non-negative sum") as caught:
             self.start(gains)
+        assert [w.category for w in caught] == [UserWarning]
 
 
 def explicit_rotating_frame(traj, omega0):
@@ -465,6 +467,45 @@ class TestRotatingFrame:
         assert np.max(np.abs(rot.controls - traj0.controls)) < 1e-9
         assert abs(wrap_angle(report_w.final_heading_common - report0.final_heading_common)) < 1e-9
         assert abs(report_w.t_sync - report0.t_sync) <= base.dt
+
+
+class TestRecordFromItsInputs:
+    """_outcome hands the record the e^{i theta} and, for a graph, the edge
+    products it computed for the controls. The record is the one built from
+    its headings alone, and its rotating frame the explicit construction,
+    whose columns come from the rotated headings, not the handed-over ones."""
+
+    @staticmethod
+    def records(six_theta0):
+        base = SimulationConfig(n=6, theta0=six_theta0, gains=GainVector(named_gain_set("set1", 6)),
+                                omega0=0.4, t_max=8.0, record_stride=7)
+        ring = dataclasses.replace(base, topology=ring_graph(6))
+        saturated = dataclasses.replace(ring, u_max=0.3, saturate=True)
+        mixed = simulate_batch([ring, dataclasses.replace(base, gains=GainVector(-np.ones(6)))])
+        assert mixed[0][0].edges is not None and mixed[1][0].edges is None
+        return {"mean-field": (base, simulate(base)[0]), "ring": (ring, simulate(ring)[0]),
+                "mixed-ring": (ring, mixed[0][0]), "mixed-mean-field": (base, mixed[1][0]),
+                "saturated": (saturated, simulate(saturated)[0])}
+
+    def test_equals_the_record_built_from_theta(self, six_theta0):
+        for name, (cfg, traj) in self.records(six_theta0).items():
+            ref = TrajectoryRecord(times=traj.times, theta=traj.theta, positions=traj.positions,
+                                   controls=traj.controls, saturated=traj.saturated,
+                                   gains=traj.gains, omega0=traj.omega0, edges=traj.edges)
+            assert_same_record(traj, ref)
+            # the controls from the headings alone, with no shared edge products
+            u = cfg.omega0 + traj.gains * phase._grad(np.exp(1j * traj.theta), traj.edges)
+            if cfg.saturate:
+                assert traj.saturated.any(), name
+                u = np.clip(u, -cfg.u_max, cfg.u_max)
+            assert same_bits(traj.controls, u), name
+
+    @pytest.mark.parametrize("rate", [0.5, -0.3])
+    def test_rotating_frame_derives_its_own_columns(self, six_theta0, rate):
+        for name, (_, traj) in self.records(six_theta0).items():
+            rot = rotating_frame(traj, rate)
+            assert_same_record(rot, explicit_rotating_frame(traj, rate))
+            assert not same_bits(rot.p_psi, traj.p_psi), name
 
 
 class TestCsv:
@@ -678,6 +719,40 @@ def reference_run(cfg):
     return states, controls, t_sync, heading, first_below
 
 
+def per_step_observer(theta, t):
+    """The sync observer step by step over headings (L, R, n) at times t:
+    each run's t_sync and the start of its window still open at the end
+    (nan for none; a run's window is not reported once it has synchronized)."""
+    runs = theta.shape[1]
+    expected_sync, expected_open = np.full(runs, np.nan), np.full(runs, np.nan)
+    for r in range(runs):
+        since = None
+        for j in range(len(t)):
+            if not np.isnan(expected_sync[r]):
+                break
+            d = wrap_angle(theta[j, r] - theta[j, r, 0])
+            if float(d.max() - d.min()) < SYNC_TOL:
+                since = t[j] if since is None else since
+                if t[j] - since >= SYNC_HOLD:
+                    expected_sync[r] = since
+            else:
+                since = None
+        expected_open[r] = np.nan if since is None else since
+    return expected_sync, expected_open
+
+
+def assert_blocks_observe(theta, t, size, expected_sync, expected_open):
+    """_sync_block over blocks of size steps gives the per-step observer's
+    t_sync, and its open windows for the runs that have not synchronized."""
+    runs = theta.shape[1]
+    below_since, t_sync = np.full(runs, np.nan), np.full(runs, np.nan)
+    for lo in range(0, len(t), size):
+        dynamics._sync_block(theta[lo:lo + size], t[lo:lo + size], below_since, t_sync)
+    unsynced = np.isnan(expected_sync)
+    assert same_bits(t_sync, expected_sync), size
+    assert same_bits(below_since[unsynced], expected_open[unsynced]), size
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -867,38 +942,105 @@ class TestIntegratorCore:
         theta = theta + rng.uniform(-3.0, 3.0, runs)[:, None]
         t = np.arange(steps) * dt
 
-        expected_sync = np.full(runs, np.nan)
-        expected_open = np.full(runs, np.nan)
-        for r in range(runs):
-            since = None
-            for j in range(steps):
-                if not np.isnan(expected_sync[r]):
-                    break
-                d = wrap_angle(theta[j, r] - theta[j, r, 0])
-                if float(d.max() - d.min()) < SYNC_TOL:
-                    since = t[j] if since is None else since
-                    if t[j] - since >= SYNC_HOLD:
-                        expected_sync[r] = since
-                else:
-                    since = None
-            expected_open[r] = np.nan if since is None else since
+        expected_sync, expected_open = per_step_observer(theta, t)
         # never held, held inside, held on the last step, held inside, never held
         assert list(np.isnan(expected_sync)) == [True, False, False, False, True]
         assert expected_sync[2] == t[-11] and not np.isnan(expected_open[0])
 
-        unsynced = np.isnan(expected_sync)
         for size in (1, 2, 3, 7, 9, 10, 11, 64, steps):
-            below_since, t_sync = np.full(runs, np.nan), np.full(runs, np.nan)
-            for lo in range(0, steps, size):
-                dynamics._sync_block(theta[lo:lo + size], t[lo:lo + size], below_since, t_sync)
-            assert same_bits(t_sync, expected_sync), size
-            assert same_bits(below_since[unsynced], expected_open[unsynced]), size
+            assert_blocks_observe(theta, t, size, expected_sync, expected_open)
             for r in range(runs):  # one run alone: blocks with no step below are common
-                below_since, t_sync = np.full(1, np.nan), np.full(1, np.nan)
-                for lo in range(0, steps, size):
-                    dynamics._sync_block(theta[lo:lo + size, r:r + 1], t[lo:lo + size],
-                                         below_since, t_sync)
-                assert same_bits(t_sync, expected_sync[r:r + 1]), (size, r)
+                assert_blocks_observe(theta[:, r:r + 1], t, size, expected_sync[r:r + 1],
+                                      expected_open[r:r + 1])
+
+    def test_wide_block_observer_equals_the_per_step_observer(self):
+        """Runs of more agents than the observer's prefix: steps with every
+        agent aligned, with the prefix aligned and an agent outside it not,
+        the reverse, agent 0 alone apart, a nan heading inside and outside
+        the prefix, and far from sync, in windows that open and close inside
+        a block; some agents a whole turn away. At every block size, alone
+        and batched, t_sync and the open windows equal the per-step
+        observer's bit for bit."""
+        rng = np.random.default_rng(19)
+        n, runs, steps, dt, k = 20, 6, 240, 0.1, dynamics.SYNC_PREFIX
+        kinds = ("outside", "inside", "agent0", "nan-inside", "nan-outside", "far")
+        theta = np.empty((steps, runs, n))
+        seen = set()
+        for r in range(runs):
+            order = []
+            longest = [1, 2, 9, 10] if r < 2 else [1, 2, 9, 10, 11, 12, 15]
+            while len(order) < steps:  # aligned windows, held from 11 steps on; gaps of 1 to 3
+                order += ["aligned"] * int(rng.choice(longest))
+                order += list(rng.choice(kinds, int(rng.integers(1, 4))))
+            order = order[:steps]
+            if r < 2:  # never held: a window open at the end, or none
+                order[-12:] = ["far"] * 2 + ["aligned"] * 10 if r == 0 else ["far"] * 12
+            turns = 2 * np.pi * rng.integers(-1, 2, n) * (r % 2)
+            base = rng.uniform(-3.0, 3.0)
+            for j, kind in enumerate(order):
+                th = base + rng.uniform(-2e-5, 2e-5, n)  # spread below 4e-5 < SYNC_TOL
+                agent = {"outside": rng.integers(k, n), "inside": rng.integers(1, k),
+                         "agent0": 0, "nan-inside": rng.integers(0, k),
+                         "nan-outside": rng.integers(k, n)}.get(kind)
+                if kind.startswith("nan"):
+                    th[agent] = np.nan
+                elif agent is not None:
+                    th[agent] += 1e-3
+                elif kind == "far":
+                    th += rng.uniform(0.0, 1.0, n)
+                theta[j, r] = th + turns
+                seen.add(kind)
+        assert seen == {"aligned", *kinds}
+        d = wrap_angle(theta - theta[..., :1])
+        full = d.max(-1) - d.min(-1) < SYNC_TOL
+        prefix = d[..., :k].max(-1) - d[..., :k].min(-1) < SYNC_TOL
+        assert (prefix & ~full).any() and (full & prefix).any() and (~prefix).any()
+        t = np.arange(steps) * dt
+        expected_sync, expected_open = per_step_observer(theta, t)
+        held, still_open = ~np.isnan(expected_sync), ~np.isnan(expected_open)
+        assert held.any() and (~held & still_open).any() and (~held & ~still_open).any()
+        for size in range(1, steps + 1):
+            assert_blocks_observe(theta, t, size, expected_sync, expected_open)
+        for r in range(runs):
+            for size in (1, 2, 3, 10, 11, 64, steps):
+                assert_blocks_observe(theta[:, r:r + 1], t, size, expected_sync[r:r + 1],
+                                      expected_open[r:r + 1])
+
+    @pytest.mark.parametrize("n", [5, dynamics.SYNC_PREFIX, dynamics.SYNC_PREFIX + 1, 20])
+    def test_only_runs_beyond_the_prefix_skip_the_full_wrap(self, monkeypatch, n):
+        """A block whose prefix spread is exactly SYNC_TOL, agent 0 apart from
+        the rest, is not below and takes only the prefix's wrap when n is
+        above SYNC_PREFIX; a block at sync takes the prefix's and the full
+        one. At n <= SYNC_PREFIX every block takes the full wrap alone."""
+        widths = []
+
+        def spy(x):
+            widths.append(np.shape(x)[-1])
+            return wrap_angle(x)
+
+        monkeypatch.setattr(dynamics, "wrap_angle", spy)
+        k, t = dynamics.SYNC_PREFIX, np.arange(2) * 0.01
+        edge = np.full((2, 1, n), SYNC_TOL)
+        edge[..., 0] = 0.0
+        below_since, t_sync = np.full(1, np.nan), np.full(1, np.nan)
+        dynamics._sync_block(edge, t, below_since, t_sync)
+        assert widths == ([k] if n > k else [n]) and np.isnan(below_since).all()
+        widths.clear()
+        dynamics._sync_block(np.zeros((2, 1, n)), t + 0.02, below_since, t_sync)
+        assert widths == ([k, n] if n > k else [n]) and below_since[0] == 0.02
+        assert np.isnan(t_sync).all()
+
+    @pytest.mark.parametrize("topology", [None, ring_graph(12)], ids=["mean-field", "ring"])
+    def test_wide_run_equals_the_serial_loop(self, topology):
+        """A run of 12 agents, beyond the observer's prefix, that
+        synchronizes: the serial loop's records, t_sync and heading."""
+        rng = np.random.default_rng(12)
+        cfg = SimulationConfig(n=12, theta0=rng.uniform(-0.8, 0.8, 12),
+                               gains=GainVector(-rng.uniform(0.5, 2.0, 12)),
+                               topology=topology, t_max=25.0, record_stride=7)
+        traj, report = simulate(cfg)
+        assert report.synchronized
+        assert_matches_reference(cfg, traj, report)
 
     def test_simulate_batch_rows_equal_simulate(self):
         """Mixed n, graphs, omega0, saturation, jitter and strides in one
