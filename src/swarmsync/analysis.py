@@ -11,8 +11,8 @@ a 1/K-weighted average of the initial headings expressed in a frame rotated
 by theta_R so that all of them are non-negative. The weighting is a convex
 combination, so exactly the open interior of the initial arc is reachable
 with negative gains; the extreme rays are not. For two agents the admissible
-gain set relaxes to K_1 + K_2 < 0 and every direction on the circle becomes
-reachable, including directions outside the initial arc.
+gain set relaxes to K_1 + K_2 < 0 and every direction but the two initial
+headings (which need a zero gain) becomes reachable, outside the arc too.
 
 All angles here are radians; results are wrapped to (-pi, pi].
 """
@@ -138,7 +138,8 @@ def is_reachable(theta0, target: float) -> ReachabilityReport:
 
     The open interval between the extreme rays is reachable; the rays
     themselves are not. For two agents the report also notes the extended
-    regime (any direction, via mixed-sign gains with negative sum). A
+    regime (mixed-sign gains with negative sum), true exactly where
+    two_agent_gains returns gains: not at either end of a nonzero arc. A
     non-finite target, or one beyond TARGET_BOUND rad, raises ValueError.
     """
     _finite_target(target)
@@ -151,10 +152,12 @@ def _reachability(frame: RotatedFrame, target: float) -> ReachabilityReport:
     reachable = bool(0.0 < t_hat < frame.span)
     extended: bool | None = None
     if frame.theta_hat0.size == 2:
-        if frame.span > 0.0:
-            extended = True
+        try:
+            _two_agent_gains(frame, target)
+        except ValueError:
+            extended = False
         else:
-            extended = bool(abs(wrap_angle(target - frame.theta_R)) < 1e-12)
+            extended = True
     return ReachabilityReport(
         target=float(wrap_angle(target)),
         interval_rotated=(0.0, frame.span),
@@ -295,7 +298,7 @@ def two_agent_direction(theta0, gains) -> float:
 
 
 def two_agent_gains(theta0, target: float) -> GainVector:
-    """Gains with K_1 + K_2 < 0 steering a pair to any direction on the circle.
+    """Gains with K_1 + K_2 < 0 steering a pair to any direction but its headings.
 
     Interior targets use two negative gains; targets at or beyond the arc
     ends use one positive and one negative gain. The two rotated-frame
@@ -307,7 +310,11 @@ def two_agent_gains(theta0, target: float) -> GainVector:
     if th.size != 2:
         raise ValueError("two_agent_gains needs exactly 2 headings")
     _finite_target(target)
-    frame = _require_acute(rotated_frame(th))
+    return _two_agent_gains(_require_acute(rotated_frame(th)), target)
+
+
+def _two_agent_gains(frame: RotatedFrame, target: float) -> GainVector:
+    """two_agent_gains on a frame already computed and checked acute."""
     span = frame.span
     t_hat = float(wrap_angle(target - frame.theta_R))
     lo_i = int(np.argmin(frame.theta_hat0))

@@ -51,6 +51,15 @@ class GainVector:
     def all_negative(self) -> bool:
         return bool(np.all(self.gains < 0.0))
 
+    @property
+    def sync_stable(self) -> bool:
+        """Sync is linearly stable (mean-field, or any connected graph) iff all gains
+        are negative, or exactly one is positive and sum_k 1/K_k > 0."""
+        k = self.gains
+        positive = np.count_nonzero(k > 0.0)
+        # min|K|/K_k has the sign of 1/K_k and lies in [-1, 1], so nothing overflows
+        return bool(positive == 0 or (positive == 1 and np.sum(np.abs(k).min() / k) > 0.0))
+
 
 def as_gains(gains) -> np.ndarray:
     """Accept a GainVector or array-like; return the validated gain array."""

@@ -484,12 +484,8 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
     """The run's initial joint state [theta; x; y], (3, n), with the seeded
     heading jitter if set; warns when the gains or the graph give no
     convergence guarantee."""
-    # near the float limit the sum overflows to +-inf, which still decides the
-    # test, so numpy's overflow warning would only repeat the warning below
-    with np.errstate(over="ignore"):
-        descent = cfg.gains.all_negative or cfg.gains.gains.sum() < 0.0
-    if not descent:
-        warnings.warn("gain set has non-negative sum; no descent guarantee applies")
+    if not cfg.gains.sync_stable:
+        warnings.warn("gains are not sync-stable: need all K < 0, or one K > 0 and sum(1/K) > 0")
     if cfg.topology is not None and not is_connected(cfg.topology):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
     theta0 = cfg.theta0

@@ -1,15 +1,13 @@
 """Built-in demonstration scenarios.
 
-Each scenario bundles one or more closed-loop runs with the checks its
-outcome is expected to satisfy, and writes per-run trajectory/convergence
-files plus a scenario-level summary. A scenario's runs go through one
-simulate_batch call, so runs that share n, dt, t_max, stride and clip limit
-are integrated together whatever their law, each equal to its own simulate()
-bit for bit: sim1 and sim1-omega are one batch of four mean-field and ring
-runs each, and sim2, sim3-caps and sim3-sat one batch of two.
-
-A scenario is one entry of the table SCENARIOS, which returns its named
-runs; the scenario-specific checks are in _scenario_checks.
+A scenario is a table of config documents, plain dicts in the config schema
+that parse_config reads as it reads a user's --config file, plus the checks
+its outcome is expected to satisfy (_scenario_checks). It writes per-run
+trajectory/convergence files and a scenario-level summary. A scenario's runs
+go through one simulate_batch call, so runs that share n, dt, t_max, stride
+and clip limit are integrated together whatever their law, each equal to its
+own simulate() bit for bit: sim1 and sim1-omega are one batch of four
+mean-field and ring runs each, and sim2, sim3-caps and sim3-sat one batch of two.
 
     sim1        six agents, heterogeneous negative gain sets, straight-line
                 motion, mean-field vs ring coupling
@@ -30,65 +28,47 @@ import numpy as np
 
 from .analysis import predict_direction
 from .angles import wrap_angle
-from .config import with_overrides
-from .control import GainVector, named_gain_set
+from .config import parse_config, with_overrides
 from .dynamics import SimulationConfig, _json_text, simulate_batch, write_run
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # scenarios.simulate by name.
 from .dynamics import simulate  # noqa: F401
-from .topology import ring_graph
 
-SIM1_THETA0_DEG = (-60.0, -45.0, -30.0, 30.0, 45.0, 60.0)
-SIM1_POSITIONS = ((-1.0, -2.0), (4.0, -2.0), (-1.0, 1.0), (2.0, 3.0), (0.0, 1.0), (2.0, -6.0))
-
-
-def _sim1_config(gain_set: str, topology: str, omega0: float = 0.0,
-                 t_max: float = 100.0, record_stride: int = 5, **kw) -> SimulationConfig:
-    n = 6
-    return SimulationConfig(
-        n=n,
-        theta0=np.deg2rad(SIM1_THETA0_DEG),
-        gains=GainVector(named_gain_set(gain_set, n)),
-        positions0=np.asarray(SIM1_POSITIONS),
-        omega0=omega0,
-        topology=None if topology == "complete" else ring_graph(n),
-        t_max=t_max,
-        record_stride=record_stride,
-        **kw,
-    )
+# the fields every six-agent run shares, and every two-agent run
+_SIM1 = {"n": 6, "theta0_deg": [-60.0, -45.0, -30.0, 30.0, 45.0, 60.0], "t_max": 100.0,
+         "record_stride": 5, "positions0": [[-1.0, -2.0], [4.0, -2.0], [-1.0, 1.0],
+                                            [2.0, 3.0], [0.0, 1.0], [2.0, -6.0]]}
+_SIM2 = {"n": 2, "theta0_deg": [-60.0, 60.0], "t_max": 60.0, "record_stride": 5}
 
 
-def _sim1_runs(gain_sets: tuple[str, ...], topologies=("complete", "ring"), **kw):
-    """A SCENARIOS entry: one run of the sim1 agents per gain set and topology,
-    named by the topology alone when there is one gain set."""
-    return lambda: [(f"{g}-{topo}" if len(gain_sets) > 1 else topo, _sim1_config(g, topo, **kw))
-                    for g in gain_sets for topo in topologies]
+def _sim1(gain_sets: tuple[str, ...], topologies=("complete", "ring"), **fields) -> dict:
+    """Six-agent documents per gain set and topology, named by topology alone for one gain set."""
+    return {f"{g}-{topo}" if len(gain_sets) > 1 else topo:
+            {**_SIM1, "gains": g, "topology": topo, **fields}
+            for g in gain_sets for topo in topologies}
 
 
-def _build_sim2() -> list[tuple[str, SimulationConfig]]:
-    rng = np.random.default_rng(2)  # drawn in run order, two positions a run
-    return [
-        (name, SimulationConfig(
-            n=2,
-            theta0=np.deg2rad([-60.0, 60.0]),
-            gains=GainVector(np.asarray(gains)),
-            positions0=rng.uniform(-5.0, 5.0, (2, 2)),
-            t_max=60.0,
-            record_stride=5,
-        ))
-        for name, gains in (("a", (-3.0, 1.0)), ("b", (1.0, -3.0)))
-    ]
+# name: {run name: config document}, the runs in the order they are written
+_RUNS = {
+    "sim1": _sim1(("set1", "set2")),
+    "sim1-omega": _sim1(("set1", "set2"), omega0=0.5),
+    # the positions are the first eight values numpy's default_rng(2) draws
+    # from uniform(-5, 5), two positions a run in run order
+    "sim2": {
+        "a": {**_SIM2, "gains": [-3.0, 1.0], "positions0": [
+            [-2.383878657506836, -2.015088565858767], [3.1422574059428037, -4.080840578649031]]},
+        "b": {**_SIM2, "gains": [1.0, -3.0], "positions0": [
+            [1.00100525965654, 2.285605268117946], [-3.1209892663339653, -4.448533726669318]]},
+    },
+    "sim3-caps": _sim1(("set4",), t_max=800.0, u_max=0.1, record_stride=20),
+    "sim3-sat": _sim1(("set2",), t_max=300.0, u_max=0.1, saturate=True, record_stride=20),
+    "fig6": _sim1(("set3",), ("complete",), t_max=200.0),
+}
 
 
 # name: () -> [(run name, config), ...], the runs in the order they are written
-SCENARIOS = {
-    "sim1": _sim1_runs(("set1", "set2")),
-    "sim1-omega": _sim1_runs(("set1", "set2"), omega0=0.5),
-    "sim2": _build_sim2,
-    "sim3-caps": _sim1_runs(("set4",), t_max=800.0, u_max=0.1, record_stride=20),
-    "sim3-sat": _sim1_runs(("set2",), t_max=300.0, u_max=0.1, saturate=True, record_stride=20),
-    "fig6": _sim1_runs(("set3",), ("complete",), t_max=200.0),
-}
+SCENARIOS = {name: lambda runs=runs: [(run, parse_config(doc)) for run, doc in runs.items()]
+             for name, runs in _RUNS.items()}
 
 _PREDICTION_TOL = 1e-3  # rad, simulated vs closed-form final direction
 
@@ -144,12 +124,13 @@ def _scenario_checks(name: str, configs: dict, runs: dict) -> tuple[dict, dict]:
                 t_complete is not None and t_ring is not None and t_ring > t_complete
             )
     if name == "sim2":
-        for run_name, target_deg in (("a", 120.0), ("b", -120.0)):
+        for run_name, label, target in (("a", "+120", 2 * np.pi / 3),
+                                        ("b", "-120", -2 * np.pi / 3)):
             run = runs[run_name]
             ok = run["synchronized"] and abs(
-                wrap_angle(run["final_heading_common"] - np.deg2rad(target_deg))
+                wrap_angle(run["final_heading_common"] - target)
             ) < _PREDICTION_TOL
-            checks[f"{run_name}:final_heading_{target_deg:+.0f}deg"] = bool(ok)
+            checks[f"{run_name}:final_heading_{label}deg"] = bool(ok)
     if name == "fig6":
         run = runs["complete"]
         outside = bool(

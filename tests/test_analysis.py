@@ -486,6 +486,18 @@ class TestTwoAgentGains:
             with pytest.raises(ValueError, match="zero gain"):
                 two_agent_gains(theta0, np.deg2rad(target_deg))
 
+    def test_extended_flag_is_where_gains_exist(self):
+        """is_reachable's two-agent flag is true exactly where
+        two_agent_gains returns gains: false at each heading of a pair,
+        whose direction would need a zero gain."""
+        for theta0, target in two_agent_cases():
+            gains = two_agent_result(theta0, target)
+            assert is_reachable(theta0, target).reachable_two_agent_extended is (
+                not isinstance(gains, str)), (theta0, target)
+        for target_deg in (-60.0, 60.0):
+            report = is_reachable(np.deg2rad([-60.0, 60.0]), np.deg2rad(target_deg))
+            assert report.reachable_two_agent_extended is False
+
     def test_pinned_bits(self):
         """The gains, or the error message, of two_agent_cases() bit for
         bit: which end gets the positive gain, and where the boundary error

@@ -420,6 +420,22 @@ class TestScenario:
         for rel in files:
             assert (batched / rel).read_bytes() == (ref / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_each_run_is_a_runnable_config(self, tmp_path, capsys, name):
+        """A bundled run is a config a user could write: its document, run by
+        `simulate --config` with the same overrides, writes the bytes the
+        scenario writes for that run."""
+        run_scenario(name, tmp_path / "scenario", t_max=3.0, seed=4)
+        for run_name, doc in scenarios._RUNS[name].items():
+            out = tmp_path / "simulate" / run_name
+            argv = ["simulate", "--config", str(write_config(tmp_path, doc, f"{run_name}.json")),
+                    "--out", str(out), "--t-max", "3", "--seed", "4"]
+            assert main(argv) in (0, 2)
+            for file in ("trajectory.csv", "convergence.json"):
+                expected = tmp_path / "scenario" / name / run_name / file
+                assert (out / file).read_bytes() == expected.read_bytes(), (run_name, file)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("name, rows", [("sim1", 4), ("sim3-caps", 2), ("sim3-sat", 2)],
                              ids=["sim1", "sim3-caps", "sim3-sat"])
     def test_scenario_integrates_in_one_call(self, tmp_path, monkeypatch, name, rows):

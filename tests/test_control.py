@@ -5,6 +5,7 @@ import pytest
 
 from swarmsync import (
     GainVector,
+    InteractionGraph,
     SimulationConfig,
     alignment_potential_grad,
     complete_graph,
@@ -36,6 +37,77 @@ class TestGainVector:
         g = GainVector([-1.0, -2.0])
         with pytest.raises(ValueError):
             g.gains[0] = 5.0
+
+
+# |sum_k 1/K_k| of every oracle case is above this, so no case sits on the
+# stability boundary, where the eigenvalue test cannot decide; fixed before
+# the cases were drawn
+STABILITY_MARGIN = 0.05
+
+
+def stability_cases(count=1200):
+    """(gains, M) for seeded cases: n from 2 to 12, 0 to 3 positive gains, M
+    the mean-field matrix I - 11^T/N or the Laplacian of a random connected
+    graph (a random spanning tree plus random extra edges)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(2, 13))
+        gains = -rng.uniform(0.1, 5.0, n)
+        gains[rng.choice(n, int(rng.integers(0, min(3, n) + 1)), replace=False)] *= -1.0
+        if abs(np.sum(1.0 / gains)) <= STABILITY_MARGIN:
+            continue
+        if rng.random() < 0.5:
+            m = np.eye(n) - 1.0 / n
+        else:
+            order = rng.permutation(n)
+            edges = {tuple(sorted((int(order[i]), int(order[rng.integers(0, i)]))))
+                     for i in range(1, n)}
+            edges |= {(j, k) for j in range(n) for k in range(j + 1, n) if rng.random() < 0.2}
+            m = laplacian(InteractionGraph(n, tuple(sorted(edges))))
+        cases.append((gains, m))
+    return cases
+
+
+def linearly_stable(gains, m):
+    """Whether every eigenvalue of J = diag(K) M but the structural zero has
+    negative real part. J maps every vector into W = {v : sum_k v_k/K_k = 0}
+    (the conserved sum), and 1 is J's zero eigenvector outside W, so the
+    other eigenvalues are those of J restricted to W."""
+    basis = np.linalg.svd((1.0 / gains)[None, :])[2][1:].T  # orthonormal basis of W
+    restricted = basis.T @ (gains[:, None] * m) @ basis
+    return bool(np.all(np.linalg.eigvals(restricted).real < 0.0))
+
+
+class TestSyncStable:
+    """GainVector.sync_stable, the rule behind the run-start gain warning:
+    sync is linearly stable iff all gains are negative, or exactly one is
+    positive and sum_k 1/K_k > 0."""
+
+    def test_matches_the_linearization(self):
+        cases = stability_cases()
+        verdicts = [GainVector(g).sync_stable for g, _ in cases]
+        assert verdicts == [linearly_stable(g, m) for g, m in cases]
+        positives = {int(np.sum(g > 0)) for g, _ in cases}
+        assert positives == {0, 1, 2, 3} and 0 < sum(verdicts) < len(cases)
+        # stable and unstable one-positive cases, and two-positive cases
+        # with a positive sum_k 1/K_k, are all in the draw
+        one = [v for (g, _), v in zip(cases, verdicts) if np.sum(g > 0) == 1]
+        assert any(one) and not all(one)
+        assert any(np.sum(g > 0) > 1 and np.sum(1.0 / g) > 0 for g, _ in cases)
+
+    @pytest.mark.parametrize("gains, stable", [
+        ([-1.0, -0.2, -3.0], True),
+        ([0.5, -2.0], True),                      # 1/K sums to 1.5
+        ([1.0, -2.0, -2.0], False),               # 1/K sums to exactly 0
+        ([1.0, -1.0], False),
+        ([0.5] + [-0.6] * 5, False),              # sum K < 0, sum 1/K < 0
+        ([0.5, 0.5] + [-5.0] * 4, False),         # two positive gains
+        ([5e-324, -1e308], True),                 # 1/K of a subnormal is inf
+        ([-5e-324, 1e308], False),
+    ])
+    def test_cases(self, gains, stable):
+        assert GainVector(gains).sync_stable is stable
 
 
 class TestAllToAll:

@@ -15,15 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmsync import SCENARIOS, cli, dynamics
+from swarmsync import SCENARIOS, cli, dynamics, scenarios
 from swarmsync.cli import main
 from swarmsync.config import dump_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # each scenario's runs in order, with the sha256 of each run's config as
-# dump_config writes it; a changed parameter (t_max, a gain set, a position,
-# the sim2 seed) or a reordered run changes a pin
+# dump_config writes it; a changed parameter (t_max, a gain set, a position)
+# or a reordered run changes a pin
 SCENARIO_PINS = {
     "sim1": [
         ("set1-complete", "f553b39c63f7e5395bac0dd0b87c7f28ee493fbd76faf12d43debc631e62dd77"),
@@ -66,16 +66,20 @@ class TestScenarioTable:
         assert runs == SCENARIO_PINS[name]
 
     def test_readme_table_matches(self):
-        """README's scenario table gives each scenario's topologies, t_max and
-        record_stride as the runs have them."""
+        """README's scenario table gives each scenario's gains (as its config
+        documents write them), topologies, t_max and record_stride as the runs
+        have them."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         for name, build in SCENARIOS.items():
             (row,) = [line for line in readme.splitlines() if line.startswith(f"| `{name}` |")]
             cells = [cell.strip() for cell in row.strip("|").split("|")]
             runs = [cfg for _, cfg in build()]
+            gains = dict.fromkeys(
+                f"`{g}`" if isinstance(g, str) else f"`[{', '.join(f'{k:g}' for k in g)}]`"
+                for g in (doc["gains"] for doc in scenarios._RUNS[name].values()))
             topologies = dict.fromkeys("complete" if c.topology is None else "ring" for c in runs)
             (horizon,) = {(f"{c.t_max:g}", str(c.record_stride)) for c in runs}
-            assert cells[2:5] == [", ".join(topologies), *horizon], name
+            assert cells[1:5] == [", ".join(gains), ", ".join(topologies), *horizon], name
 
 
 # (option strings, dest, type, default, required, choices, help) of each

@@ -352,13 +352,15 @@ class TestSimulate:
 
     def test_other_gain_class_warns(self):
         cfg = make_config(gains=GainVector([1.0, -0.5]), t_max=1.0)
-        with pytest.warns(UserWarning, match="descent"):
+        with pytest.warns(UserWarning, match="sync-stable"):
             simulate(cfg)
 
 
 class TestGainSumWarning:
-    """A run warns exactly when its gains do not sum below 0, the two-agent
-    condition K_1 + K_2 < 0 applied at every n."""
+    """A run warns exactly when sync is not linearly stable: unless all gains
+    are negative, or exactly one is positive and sum_k 1/K_k > 0 (for two
+    agents, K_1 + K_2 < 0). The last two warning cases sum below 0 and
+    never sync."""
 
     @staticmethod
     def start(gains):
@@ -372,12 +374,14 @@ class TestGainSumWarning:
             warnings.simplefilter("error")
             self.start(gains)
 
-    @pytest.mark.parametrize("gains", [[1.0, -1.0], [1e308, 1e308, -1e308, -1e308]],
-                             ids=["sum-zero", "sum-overflows"])
+    @pytest.mark.parametrize("gains", [[1.0, -1.0], [1e308, 1e308, -1e308, -1e308],
+                                       [0.5] + [-0.6] * 5, [0.5, 0.5] + [-5.0] * 4],
+                             ids=["sum-zero", "sum-overflows", "inverse-sum-negative",
+                                  "two-positive"])
     def test_sum_not_below_zero_warns(self, gains):
-        """The one warning is the gain-set warning: a sum that overflows to
-        +inf still decides it, with no numpy overflow warning beside it."""
-        with pytest.warns(UserWarning, match="^gain set has non-negative sum") as caught:
+        """The one warning is the gain-set warning, with no numpy overflow
+        warning beside it where gains near the float limit are involved."""
+        with pytest.warns(UserWarning, match="^gains are not sync-stable") as caught:
             self.start(gains)
         assert [w.category for w in caught] == [UserWarning]
 

@@ -3,7 +3,10 @@ change to the public surface shows up here, and the README cannot drift from
 it."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,15 @@ def test_library_use_example_runs(capsys):
     synchronized, t_sync, heading = run.split()
     assert synchronized == "True" and float(t_sync) > 0.0
     assert float(heading) == pytest.approx(float(direction), abs=1e-6)
+
+
+def test_import_loads_no_numpy_random():
+    """A fresh `import swarmsync` draws nothing and so loads no numpy.random:
+    the bundled scenarios are fixed documents, and only a jittered run draws."""
+    src = str(Path(swarmsync.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, swarmsync; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert done.stdout == "False\n"
