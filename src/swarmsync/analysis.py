@@ -26,7 +26,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .control import GainVector, as_gains
-from .phase import alignment_potential_grad, as_heading_vector, order_parameter
+from .phase import _expi, alignment_potential_grad, as_heading_vector, order_parameter
 
 
 class NonAcuteConeError(ValueError):
@@ -221,7 +221,8 @@ def _synthesis(theta0, target: float, c: float) -> tuple[GainVector, RotatedFram
         alpha[hi] += s * w_hi
     if np.any(alpha <= 0.0):
         raise RuntimeError("internal error: synthesized weights not strictly positive")
-    return GainVector(c / alpha), frame
+    with np.errstate(over="ignore"):  # a c near the float limit: GainVector names the gain
+        return GainVector(c / alpha), frame
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,7 @@ def critical_point_hessian(theta) -> np.ndarray:
     classify_critical_point needs only a 2 x 2 block of it and stays O(N).
     """
     th = as_heading_vector(theta)
-    z = np.exp(1j * th)
+    z = _expi(th)
     idx = np.arange(th.size)
     return _hessian_entries(z, z.mean(), idx[:, None], idx)
 
@@ -425,7 +426,7 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     aligned = np.flatnonzero(~opposed)
     if aligned.size < 2:
         raise ValueError("inconsistent critical configuration: majority block too small")
-    witness = _saddle_witness(np.exp(1j * th), op.as_complex, aligned[:2])
+    witness = _saddle_witness(_expi(th), op.as_complex, aligned[:2])
     if witness >= 0.0:
         raise ValueError("saddle witness failed; configuration is not a clean saddle")
     return CriticalPointConfig(m, op.magnitude, CriticalKind.SADDLE)

@@ -21,13 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import _grad, as_heading_vector
+from .phase import _expi, _grad, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
 
 
 @dataclass(frozen=True, eq=False)
 class GainVector:
-    """Per-agent controller gains K_k. Zero gains are rejected at construction."""
+    """Per-agent controller gains K_k. A gain that is not finite, or whose
+    reciprocal 1/K_k is not (zero, or |K_k| below about 5.6e-309), is
+    rejected at construction, the first one named: the closed-form
+    direction and the conserved sum weight each heading by 1/K_k."""
 
     gains: np.ndarray
 
@@ -35,11 +38,16 @@ class GainVector:
         g = np.atleast_1d(np.asarray(self.gains, dtype=float))
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gains must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains contain non-finite entries")
-        if np.any(g == 0.0):
-            idx = int(np.flatnonzero(g == 0.0)[0])
-            raise ValueError(f"gain K_{idx} is exactly 0; zero gains are not allowed")
+        with np.errstate(over="ignore", divide="ignore"):
+            bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(1.0 / g)))
+        if bad.size:
+            idx = int(bad[0])
+            k = float(g[idx])
+            if k == 0.0:
+                raise ValueError(f"gain K_{idx} is exactly 0; zero gains are not allowed")
+            raise ValueError(f"gain K_{idx} = {k!r} " + (
+                f"is too close to 0: its reciprocal 1/K_{idx} is not a finite float"
+                if np.isfinite(k) else "is not finite"))
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -74,7 +82,7 @@ def control_all_to_all(theta, gains, omega0: float = 0.0) -> np.ndarray:
     k = as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    return omega0 + k * _grad(np.exp(1j * th), None)
+    return omega0 + k * _grad(_expi(th), None)
 
 
 def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> np.ndarray:
@@ -87,7 +95,7 @@ def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> n
         raise ValueError("graph size does not match headings")
     if not is_connected(g):
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-    return omega0 + k * _grad(np.exp(1j * th), edge_arrays(g))
+    return omega0 + k * _grad(_expi(th), edge_arrays(g))
 
 
 def gain_cap(n: int, u_max: float) -> float:

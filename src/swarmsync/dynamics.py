@@ -27,7 +27,8 @@ import numpy as np
 
 from .angles import heading_spread, wrap_angle
 from .control import GainVector
-from .phase import ZERO_MAGNITUDE_TOL, _edge_products, _grad, _potential, as_heading_vector
+from .phase import (ZERO_MAGNITUDE_TOL, _edge_products, _expi, _grad, _potential, _unit_vectors,
+                    as_heading_vector)
 from .topology import InteractionGraph, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
@@ -158,9 +159,10 @@ class TrajectoryRecord:
     parameter, potentials and conserved sum are derived from theta on
     construction; mean-field runs (edges None) report N*U as graph_potential.
     ``edges`` are the graph's directed edge arrays from topology.edge_arrays.
-    A caller that has already computed z = exp(1j*theta) and, for a graph,
-    phase._edge_products(z, *edges) passes them so that they are not
-    computed again; they are not stored, so replace() derives them anew."""
+    A caller that has already computed z = e^{i theta} (phase._expi) and,
+    for a graph, phase._edge_products(z, *edges) passes them so that they
+    are not computed again; they are not stored, so replace() derives them
+    anew."""
 
     times: np.ndarray
     theta: np.ndarray
@@ -180,7 +182,7 @@ class TrajectoryRecord:
 
     def __post_init__(self, z, edge_products):
         if z is None:
-            z = np.exp(1j * self.theta)
+            z = _expi(self.theta)
         p = z.mean(axis=1)
         self.p_mag = np.abs(p)
         self.p_psi = np.where(self.p_mag > ZERO_MAGNITUDE_TOL, np.angle(p), np.nan)
@@ -243,12 +245,15 @@ class ConvergenceReport:
                 "final_heading_common_deg": None if heading is None else float(np.degrees(heading))}
 
 
-def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
-    """bind(u, z) for R runs of n agents that share u_max, one run per entry
-    of edges (its edge arrays, None for mean-field; mean-field runs first),
-    kvec and omega0 broadcast to (R, n). bind gives a stage's rhs(exponent),
-    which writes exp(exponent) = e^{i theta} into z and the commands into u.
-    Run r's headings are r*n..r*n+n-1 of one flat row, so exp, gains, omega0
+def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int, zero: bool):
+    """(angle, bind) for R runs of n agents that share u_max, one run per
+    entry of edges (its edge arrays, None for mean-field; mean-field runs
+    first), kvec and omega0 broadcast to (R, n). angle is the float buffer
+    that holds a stage's R*n heading angles and bind(u, z) gives that
+    stage's rhs(), which writes e^{i angle} into z (phase._unit_vectors,
+    which picks np.exp or np.cos/np.sin once from R*n and adds +0.0 to the
+    angles first when ``zero`` is set) and the commands into u. Run r's
+    headings are r*n..r*n+n-1 of one flat row, so e^{i theta}, gains, omega0
     and clip run once over it. Graph runs take _grad's 1-D bincount over the
     disjoint union of their edges; mean-field runs _grad's Im(conj(p) z), p a
     scalar for one run, else a (R_mf, 1) buffer divided by a 0-d complex n.
@@ -261,6 +266,7 @@ def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
     lo, hi = (np.array(b) for b in (-u_max, u_max)) if u_max is not None else (None, None)
     union = tuple(np.concatenate([e[j] + r * n for r, e in enumerate(edges) if e is not None])
                   for j in (0, 1)) if mf < runs else None  # run r's nodes offset by r*n
+    angle, unit_into = _unit_vectors((runs * n,), zero)
 
     def bind(u: np.ndarray, z: np.ndarray):
         w, p = np.empty(k, dtype=complex), np.empty((mf, 1), dtype=complex)
@@ -282,9 +288,10 @@ def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
 
         mean = one_mean if mf == 1 else means
         grad = mean if mf == runs else partial(_grad, z, union) if mf == 0 else mixed
+        write = unit_into(z)
 
-        def rhs(exponent: np.ndarray) -> None:
-            np.exp(exponent, z)
+        def rhs() -> None:
+            write()
             np.multiply(kvec, grad(), u)
             if omega0 is not None:
                 np.add(omega0, u, u)
@@ -293,41 +300,43 @@ def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int):
 
         return rhs
 
-    return bind
+    return angle, bind
 
 
-def _rk4_step(bind, dt: float, m: int):
+def _rk4_step(rhs, dt: float, m: int):
     """step(y, out): one classical RK4 step of dt from the flat state y into
-    out, through buffers allocated once here and the rhs of _make_rhs's bind
-    bound to each stage's buffers once.
+    out, through buffers allocated once here and the (angle, bind) of
+    _make_rhs, whose rhs is bound to each stage's buffers once.
 
     A state is [theta | x0, y0, x1, y1, ...], 3m floats for m headings, so
     the position part of a stage derivative k, k[m:] viewed as complex, is
-    the e^{i theta} that exp writes in place. Stage exponents are i*theta
-    plus h u written into the imaginary part of a zeroed buffer (whose real
-    part stays +-0, or nan for a non-finite theta): the floats of i*(theta
-    + h u), as both turn -0.0 into +0.0. Each operation writes into a buffer
+    the e^{i theta} that the rhs writes in place. A stage's angles are the
+    plain real theta + h u, written into the rhs's angle buffer; the plain
+    scheme forms e^{i (theta + h u)} from 1j * (theta + h u), which turns an
+    angle of -0.0 into +0.0, and _make_rhs's ``zero`` does the same where an
+    angle can be -0.0 (see _integrate). Each operation writes into a buffer
     in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's: the
     k are rows of one buffer, summed by one reduce that starts from -0.0, as
     -0.0 + k1 is k1 where numpy's default start +0.0 would turn -0.0 to +0.0.
     Also returns acc, which after a step holds its increment out - y."""
+    angle, bind = rhs
     ks, acc = np.empty((4, 3 * m)), np.empty(3 * m)
     mid = ks[1:3]
     (u1, f1), (u2, f2), (u3, f3), (_, f4) = (
         (k[:m], bind(k[:m], k[m:].view(complex))) for k in ks)
-    itheta, stage = np.empty(m, dtype=complex), np.zeros(m, dtype=complex)
-    stage_imag = stage.imag
-    i1, half, full = np.array(1j), np.array(0.5 * dt), np.array(dt)  # 0-d: faster ufunc calls
+    half, full = np.array(0.5 * dt), np.array(dt)  # 0-d: faster ufunc calls
     sixth, two = np.array(dt / 6.0), np.array(2.0)
 
     def step(y: np.ndarray, out: np.ndarray) -> None:
-        f1(np.multiply(i1, y[:m], itheta))
-        np.multiply(half, u1, stage_imag)
-        f2(np.add(itheta, stage, stage))
-        np.multiply(half, u2, stage_imag)
-        f3(np.add(itheta, stage, stage))
-        np.multiply(full, u3, stage_imag)
-        f4(np.add(itheta, stage, stage))
+        theta = y[:m]
+        angle[:] = theta
+        f1()
+        np.add(theta, np.multiply(half, u1, angle), angle)
+        f2()
+        np.add(theta, np.multiply(half, u2, angle), angle)
+        f3()
+        np.add(theta, np.multiply(full, u3, angle), angle)
+        f4()
         np.multiply(two, mid, mid)
         np.add.reduce(ks, 0, None, acc, False, -0.0)
         np.add(y, np.multiply(sixth, acc, acc), out)
@@ -380,14 +389,32 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
 
 
 # The sync observer evaluates the states of as many steps at once as fit in
-# this many bytes (at least two): hundreds of steps at small n, where the
-# per-step cost of numpy calls dominates, and two at large n, where a larger
-# block and its temporaries would add to the peak memory of the run. There,
-# a block far from sync costs the prefix test of _sync_block alone: the
-# spread of SYNC_PREFIX agents is a lower bound on the spread of all n, so
-# a block it finds nowhere below SYNC_TOL is one the full test would too.
+# OBSERVER_BLOCK_BYTES: hundreds at small n, where the per-step cost of
+# numpy calls dominates, and these blocks for any batch of up to 85
+# headings. Larger states get FREEZE_CHECK_STEPS steps a block as far as
+# they fit in OBSERVER_BLOCK_MAX_BYTES, and never fewer than two: ten at
+# n = 1000, where the budget alone gives two and a 50-step run would pay
+# the observer's fixed cost 25 times. A 1 MiB ceiling (32 steps there) was
+# no faster and raised the benchmark's peak RSS by 0.3 to 0.5 MB
+# (BENCH_unit_vectors.json). A block far from sync costs the prefix test of
+# _sync_block alone: the spread of SYNC_PREFIX agents is a lower bound on
+# the spread of all n, so a block it finds nowhere below SYNC_TOL is one
+# the full test would too.
 OBSERVER_BLOCK_BYTES = 2**16
+OBSERVER_BLOCK_MAX_BYTES = 2**18
 FREEZE_CHECK_STEPS = 32  # steps between _integrate's fixed-point checks, each ~one numpy call
+
+
+def _block_steps(state_bytes: int, n_steps: int) -> int:
+    """Rows of _integrate's block for states of state_bytes and n_steps steps."""
+    most = max(2, OBSERVER_BLOCK_BYTES // state_bytes,
+               min(FREEZE_CHECK_STEPS, OBSERVER_BLOCK_MAX_BYTES // state_bytes))
+    return min(most, n_steps + 1)
+
+
+def _has_negative_zero(theta: np.ndarray) -> bool:
+    """Whether a heading is -0.0, the one float whose sign 1j * theta drops."""
+    return bool(np.signbit(theta[theta == 0.0]).any())
 
 
 def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,13 +435,16 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     fill a block; each block goes through the sync observer at once, and its
     states at multiples of ``stride`` steps are recorded and checked finite.
     Returns views of the recorded headings (S, R, n) and positions (S, R, n,
-    2) and of the final headings (R, n), and per run (R,) the sync time and
+    2), the final headings (R, n), and per run (R,) the sync time and
     the time of its first non-finite recorded or final state, nan for none.
-    Stops early once every run has diverged. When every omega0 is zero and
-    no initial heading is -0.0, the rhs skips adding omega0: adding +0.0
-    only turns a -0.0 command into +0.0, which the stage exponents drop (see
-    _rk4_step) and the final combine shows only on a -0.0 heading, and a
-    heading is -0.0 only if it starts so, as x + y is -0.0 only if both are.
+    Stops early once every run has diverged. A heading is -0.0 only if it
+    starts so, as x + y is -0.0 only if both are, and so is a stage angle
+    theta + h u; only on a -0.0 heading does the sign of a zero h u show in
+    it. Where some initial heading is -0.0, the rhs adds +0.0 to the stage
+    angles (see _rk4_step). Where none is and every omega0 is zero, the rhs
+    skips adding omega0: adding +0.0 only turns a -0.0 command into +0.0,
+    which neither the stage angles nor the final combine show on a heading
+    that is not -0.0.
 
     After each FREEZE_CHECK_STEPS steps, and at a block's end, the last two
     rows of headings are compared bit for bit. Once a step leaves every
@@ -428,10 +458,11 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     """
     _, runs, n = y0.shape
     m = runs * n
-    omega0 = omega0 if np.any(omega0) or np.signbit(y0[0][y0[0] == 0.0]).any() else None
-    step, incr = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n), dt, m)
+    zero = _has_negative_zero(y0[0])
+    omega0 = omega0 if zero or np.any(omega0) else None
+    step, incr = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n, zero), dt, m)
     states = np.empty((n_steps // stride + 1, 3 * m))
-    slots = max(2, min(OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
+    slots = _block_steps(y0.nbytes, n_steps)
     block = np.empty((slots, 3 * m))
     rows, frozen = list(block), False  # row views made once: each step takes two
     below_since, t_sync, t_bad = (np.full(runs, np.nan) for _ in range(3))
@@ -470,7 +501,8 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
                     break
     if start + size == n_steps + 1:
         t_bad[~finite(block[size - 1]) & np.isnan(t_bad)] = n_steps * dt
-    return (*_runs(states, runs, n), _runs(block[size - 1], runs, n)[0], t_sync, t_bad)
+    # a copy of the final headings, so the block is freed before the records are built
+    return (*_runs(states, runs, n), _runs(block[size - 1], runs, n)[0].copy(), t_sync, t_bad)
 
 
 def _law(cfg: SimulationConfig):
@@ -500,8 +532,9 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     simulate() takes from this state, bit for bit."""
     y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
     kvec, omega0, edges, u_max = _law(cfg)
+    rhs = _make_rhs(kvec, omega0, [edges], u_max, cfg.n, _has_negative_zero(y[:cfg.n]))
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_step(_make_rhs(kvec, omega0, [edges], u_max, cfg.n), cfg.dt, cfg.n)[0](y, y)
+        _rk4_step(rhs, cfg.dt, cfg.n)[0](y, y)
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
     return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])
@@ -519,7 +552,7 @@ def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
     # overflow warning is silenced as in _integrate. z and the edge products
     # also give the record's derived columns.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp(1j * theta_s)
+        z = _expi(theta_s)
         products = None if edges is None else _edge_products(z, *edges)
         u = omega0 + kvec * _grad(z, edges, products)
     if u_max is None:
@@ -531,7 +564,7 @@ def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
                             saturated=saturated, gains=kvec, omega0=omega0, edges=edges,
                             z=z, edge_products=products)
     synchronized = not np.isnan(t_sync)
-    heading = (float(np.angle(np.exp(1j * (final - omega0 * (n_steps * cfg.dt))).mean()))
+    heading = (float(np.angle(_expi(final - omega0 * (n_steps * cfg.dt)).mean()))
                if synchronized else None)
     return traj, ConvergenceReport(synchronized=synchronized,
                                    t_sync=float(t_sync) if synchronized else None,

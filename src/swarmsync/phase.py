@@ -13,17 +13,23 @@ balanced arrangement. Two scalar potentials drive the controllers:
     the complete graph and is minimized at sync for any connected graph. It
     is evaluated over the graph's edge list, never as a dense matrix product.
 
-All functions here are pure and stateless.
+All public functions here are pure and stateless.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 # |p| below this is treated as zero and the mean phase reported as undefined.
 ZERO_MAGNITUDE_TOL = 1e-12
+# From this many angles on, _unit_vectors writes np.cos and np.sin into the
+# two halves of e^{i theta}; below it one complex np.exp is cheaper. The
+# measured crossover of the two is near 100 angles (BENCH_unit_vectors.json).
+UNIT_COS_SIN_MIN = 100
 
 
 def as_heading_vector(theta) -> np.ndarray:
@@ -38,6 +44,57 @@ def as_heading_vector(theta) -> np.ndarray:
     if not np.all(np.isfinite(th)):
         raise ValueError("heading vector contains non-finite entries")
     return th
+
+
+def _unit_vectors(shape, zero: bool):
+    """(angle, bind): a float array of ``shape`` that holds angles theta, and
+    bind(z), a function of no arguments that writes e^{i theta} into the
+    complex array z of that shape. The one way e^{i theta} is computed.
+
+    The size of ``shape`` picks the way once: from UNIT_COS_SIN_MIN angles
+    on, np.cos and np.sin write into z.real and z.imag; below it, one
+    np.exp of a complex buffer whose real part is +0.0 and whose imaginary
+    part is ``angle``. Both give the floats of np.exp(1j * theta) for every
+    theta but -0.0, where 1j * theta has the imaginary part +0.0 and the
+    two ways keep -0.0. With ``zero`` set, the function first adds +0.0 to
+    the angles, which turns -0.0 into +0.0 and leaves every other float
+    alone; a caller whose angles cannot be -0.0 skips that pass.
+    """
+    if math.prod(shape) < UNIT_COS_SIN_MIN:
+        w = np.zeros(shape, dtype=complex)
+        angle = w.imag
+
+        def writes(z):
+            return (partial(np.exp, w, z),)
+    else:
+        angle = np.empty(shape)
+
+        def writes(z):
+            return partial(np.cos, angle, z.real), partial(np.sin, angle, z.imag)
+
+    plus_zero = (partial(np.add, angle, 0.0, angle),) if zero else ()
+
+    def bind(z):
+        calls = plus_zero + writes(z)
+        if len(calls) == 1:  # np.exp alone: no wrapper call in the small-n RK4 loop
+            return calls[0]
+
+        def unit():
+            for call in calls:
+                call()
+        return unit
+
+    return angle, bind
+
+
+def _expi(theta) -> np.ndarray:
+    """np.exp(1j * theta) for real theta of any shape, bit for bit (see
+    _unit_vectors)."""
+    angle, bind = _unit_vectors(np.shape(theta), False)
+    np.add(theta, 0.0, angle)  # as 1j * theta does, turns -0.0 into +0.0
+    z = np.empty(angle.shape, dtype=complex)
+    bind(z)()
+    return z
 
 
 @dataclass(frozen=True)
@@ -60,7 +117,7 @@ class OrderParameter:
 def order_parameter(theta) -> OrderParameter:
     """p = (1/N) sum_k exp(i*theta_k), with magnitude in [0, 1]."""
     th = as_heading_vector(theta)
-    p = complex(np.exp(1j * th).mean())
+    p = complex(_expi(th).mean())
     mag = abs(p)
     phase = float(np.angle(p)) if mag > ZERO_MAGNITUDE_TOL else None
     return OrderParameter(magnitude=mag, mean_phase=phase, as_complex=p)
@@ -116,7 +173,7 @@ def _potential(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
 
 def alignment_potential(theta) -> float:
     """Mean-field alignment potential (N/2) * (1 - |p|^2), in [0, N/2]."""
-    return float(_potential(np.exp(1j * as_heading_vector(theta)), None))
+    return float(_potential(_expi(as_heading_vector(theta)), None))
 
 
 def alignment_potential_grad(theta) -> np.ndarray:
@@ -125,7 +182,7 @@ def alignment_potential_grad(theta) -> np.ndarray:
     Component k is -|p| sin(Psi - theta_k) = -(1/N) sum_{j != k} sin(theta_j
     - theta_k). The components always sum to zero (pairwise antisymmetry).
     """
-    return _grad(np.exp(1j * as_heading_vector(theta)), None)
+    return _grad(_expi(as_heading_vector(theta)), None)
 
 
 def _laplacian_edges(th: np.ndarray, lap) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +215,7 @@ def laplacian_potential(theta, lap) -> float:
     the Laplacian of an undirected graph.
     """
     th = as_heading_vector(theta)
-    return float(_potential(np.exp(1j * th), _laplacian_edges(th, lap)))
+    return float(_potential(_expi(th), _laplacian_edges(th, lap)))
 
 
 def laplacian_potential_grad(theta, lap) -> np.ndarray:
@@ -168,7 +225,7 @@ def laplacian_potential_grad(theta, lap) -> np.ndarray:
     to zero for undirected graphs.
     """
     th = as_heading_vector(theta)
-    return _grad(np.exp(1j * th), _laplacian_edges(th, lap))
+    return _grad(_expi(th), _laplacian_edges(th, lap))
 
 
 def lyapunov_rate(theta, gains, lap=None) -> float:
@@ -185,5 +242,5 @@ def lyapunov_rate(theta, gains, lap=None) -> float:
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
     edges = None if lap is None else _laplacian_edges(th, lap)
-    g = _grad(np.exp(1j * th), edges)
+    g = _grad(_expi(th), edges)
     return float(np.sum(k * g * g))

@@ -940,6 +940,26 @@ class TestClosedFormCommands:
         assert strict_json(proc.stdout)["error"]["type"] == "DivergenceError"
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("argv, gains, names", [
+        (["predict"], [-1.0, -1e-320, -2.0], "K_1"),
+        (["simulate"], [-1.0, -1e-320, -2.0], "K_1"),
+        (["synthesize", "--target-deg", "0", "--c", "-1e-320"], "set1", "K_0"),
+        (["synthesize", "--target-deg", "0", "--c", "-1e308"], "set1", "K_0 = -inf is not finite"),
+    ], ids=["predict", "simulate", "synthesize-tiny-c", "synthesize-huge-c"])
+    def test_gain_without_a_finite_reciprocal(self, tmp_path, argv, gains, names):
+        """A gain whose 1/K overflows once gave predict the error "Out of
+        range float values are not JSON compliant: nan" with numpy warnings,
+        and simulate a conserved column of -inf and exit 2. Now each is the
+        error JSON naming the gain, exit 1 and nothing on stderr."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": [-40.0, 5.0, 30.0],
+                                      "gains": gains, "t_max": 1.0})
+        out_dir = tmp_path / "out"
+        proc = run_fresh(["-m", "swarmsync.cli", argv[0], "--config", str(cfg), *argv[1:],
+                          "--out", str(out_dir)])
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert names in strict_json(proc.stdout)["error"]["message"]
+        assert not out_dir.exists()
+
 
 class TestStrictEntries:
     """Edge-list node indices are read with the integer rule of n and seed,

@@ -1,5 +1,7 @@
 """Turn-rate commands, gain validation, saturation, and the gain cap."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,27 @@ class TestGainVector:
             GainVector([-1.0, 0.0, 2.0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gain K_1 = inf is not finite$"):
             GainVector([-1.0, np.inf])
+
+    @pytest.mark.parametrize("tiny", [-1e-320, 5e-324, -5.5e-309])
+    def test_rejects_gain_without_a_finite_reciprocal(self, tiny):
+        """1/K overflows below |K| of about 5.56e-309; the message names the
+        gain, and numpy's overflow warning is not raised."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^gain K_1 = .* reciprocal 1/K_1 "):
+                GainVector([-1.0, tiny, 2.0])
+
+    def test_smallest_gain_with_a_finite_reciprocal(self):
+        """Accepted, and the float below it is not."""
+        with np.errstate(over="ignore"):
+            k = 1 / np.finfo(float).max
+            while not np.isfinite(1 / k):
+                k = np.nextafter(k, 1.0)
+        assert GainVector([-k, k]).gains[1] == k
+        with pytest.raises(ValueError, match="K_1"):
+            GainVector([-k, np.nextafter(k, 0.0)])
 
     def test_gains_are_read_only(self):
         g = GainVector([-1.0, -2.0])
@@ -103,8 +124,8 @@ class TestSyncStable:
         ([1.0, -1.0], False),
         ([0.5] + [-0.6] * 5, False),              # sum K < 0, sum 1/K < 0
         ([0.5, 0.5] + [-5.0] * 4, False),         # two positive gains
-        ([5e-324, -1e308], True),                 # 1/K of a subnormal is inf
-        ([-5e-324, 1e308], False),
+        ([6e-309, -1e308], True),                 # 1/K near the float limit
+        ([-6e-309, 1e308], False),
     ])
     def test_cases(self, gains, stable):
         assert GainVector(gains).sync_stable is stable

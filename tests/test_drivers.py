@@ -233,6 +233,8 @@ class TestLayerTimer:
                               capture_output=True, text=True, timeout=120, check=True)
         doc = json.loads(proc.stdout)
         assert (doc["n"], doc["topology"], doc["samples"]) == (8, topology, 11)
-        assert set(doc["layers_us"]) == {"rhs", "step", "observer", "outcome", "csv", "geometry"}
+        assert set(doc["layers_us"]) == {"unit", "rhs", "step", "observer", "outcome", "csv",
+                                         "geometry"}
+        assert set(doc["unit_ways_us"]) == {"exp", "cos_sin"}
         assert all(layer["median"] > 0.0 and layer["calls"] >= 1
-                   for layer in doc["layers_us"].values())
+                   for layer in [*doc["layers_us"].values(), *doc["unit_ways_us"].values()])

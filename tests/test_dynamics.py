@@ -646,7 +646,9 @@ def reference_run(cfg):
     reference the core must equal bit for bit: the allocating RK4 step with
     the coupling law written out in phase._grad's form, so that even the
     sign of a zero command agrees, the per-step sync observer and a finite
-    check at every recorded sample. Returns the recorded states (S, 3, n),
+    check at every recorded sample. It forms e^{i theta} as np.exp(1j *
+    theta), not through phase._unit_vectors, so it stays an oracle
+    independent of the way the integrator picks. Returns the recorded states (S, 3, n),
     the recorded controls, t_sync, the final common heading and the time of
     the first step whose spread was below SYNC_TOL."""
     n_steps = int(cfg.t_max / cfg.dt + 1e-9)
@@ -831,6 +833,18 @@ def first_fixed_row(theta) -> int | None:
 
 
 class TestIntegratorCore:
+    def test_block_steps(self):
+        """The budget's blocks for states of up to 85 headings (24 bytes
+        each), FREEZE_CHECK_STEPS steps past that as far as they fit under the
+        ceiling, never fewer than two, and never more than the run's steps."""
+        budget, ceiling = dynamics.OBSERVER_BLOCK_BYTES, dynamics.OBSERVER_BLOCK_MAX_BYTES
+        assert [dynamics._block_steps(24 * m, 10**6) for m in range(1, 86)] == [
+            budget // (24 * m) for m in range(1, 86)]
+        assert dynamics._block_steps(24 * 86, 10**6) == dynamics.FREEZE_CHECK_STEPS
+        assert dynamics._block_steps(24 * 1000, 10**6) == ceiling // 24000 == 10
+        assert dynamics._block_steps(24 * 10**5, 10**6) == 2
+        assert dynamics._block_steps(24, 50) == 51
+
     @pytest.mark.parametrize("cfg", core_configs() + fixed_point_configs(), ids=lambda c: (
         f"n{c.n}-s{c.record_stride}-{'mf' if c.topology is None else c.topology.edge_count}"
         f"-w{c.omega0:g}-{'sat' if c.saturate else 'free'}"))
@@ -917,12 +931,13 @@ class TestIntegratorCore:
 
     @pytest.mark.parametrize("topology", [None, ring_graph(5)], ids=["mean-field", "ring"])
     def test_blocks_shorter_than_the_stride(self, monkeypatch, topology):
-        """Two-step blocks, as at large n, with a stride of five: most blocks
-        hold no recorded sample."""
+        """Two-step blocks, the fewest a block holds, with a stride of five:
+        most blocks hold no recorded sample."""
         cfg = SimulationConfig(n=5, theta0=np.array([0.1, 0.4, -0.3, 0.9, 0.6]),
                                gains=GainVector(-np.ones(5)), topology=topology,
                                t_max=15.0, record_stride=5)
         monkeypatch.setattr(dynamics, "OBSERVER_BLOCK_BYTES", 1)
+        monkeypatch.setattr(dynamics, "OBSERVER_BLOCK_MAX_BYTES", 1)
         traj, report = simulate(cfg)
         assert report.synchronized
         assert_matches_reference(cfg, traj, report)
@@ -1248,11 +1263,14 @@ class TestKernelTie:
 
 
 class TestSignedZeroStages:
-    """The fused RK4 step forms its stage exponents as i*theta and
-    i*theta + i*(h u), with h u written into an imaginary part. They equal
-    the i*(theta + h u) of the plain scheme bit for bit only because i*x and
-    x + i*y both turn a -0.0 imaginary part into +0.0; a -0.0 heading whose
-    command is -0.0 is where a stage built otherwise would differ."""
+    """The RK4 step forms its stage angles as the plain real theta + h u and
+    writes e^{i angle} with np.exp of the angle as an imaginary part (or
+    with np.cos/np.sin, TestSignedZeroStagesCosSin). The plain scheme's
+    np.exp(1j * (theta + h u)) differs from both only at an angle of -0.0,
+    whose imaginary part i*x turns into +0.0: a -0.0 heading whose command
+    is -0.0. Where a heading starts at -0.0 the rhs adds +0.0 to the angles
+    first, which changes only that float; the first test pins the numpy
+    facts this rests on."""
 
     OMEGA0 = -0.0
 
@@ -1324,6 +1342,71 @@ class TestSignedZeroStagesUnforced(TestSignedZeroStages):
     OMEGA0 = 0.0
 
 
+class TestSignedZeroStagesCosSin(TestSignedZeroStages):
+    """The same starts with e^{i theta} from np.cos/np.sin, the way batches
+    of phase.UNIT_COS_SIN_MIN headings or more take: sin keeps a -0.0 angle
+    as np.exp does, so the +0.0 add where a heading starts at -0.0 is what
+    keeps these runs equal to the plain scheme."""
+
+    @pytest.fixture(autouse=True)
+    def cos_sin(self, monkeypatch):
+        monkeypatch.setattr(phase, "UNIT_COS_SIN_MIN", 0)
+
+
+class TestSignedZeroStagesUnforcedCosSin(TestSignedZeroStagesCosSin):
+    OMEGA0 = 0.0
+
+
+class TestUnitVectorSwitch:
+    """Runs on both sides of phase.UNIT_COS_SIN_MIN equal the serial loop,
+    which forms e^{i theta} as np.exp(1j * theta) itself."""
+
+    def test_large_ring_run(self):
+        """n = 1000 on a ring, past the switch: five recorded samples, and
+        the record's derived columns against np.exp's e^{i theta}."""
+        rng = np.random.default_rng(1000)
+        n = 1000
+        cfg = SimulationConfig(n=n, theta0=rng.uniform(0.0, 1.5, n),
+                               gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, n))),
+                               topology=ring_graph(n), t_max=0.125, record_stride=3)
+        traj, report = simulate(cfg)
+        assert traj.sample_count == 5
+        assert_matches_reference(cfg, traj, report)
+        z = np.exp(1j * traj.theta)
+        p = z.mean(axis=1)
+        assert same_bits(traj.p_mag, np.abs(p))
+        assert same_bits(traj.potential, phase._potential(z, None))
+        assert same_bits(traj.graph_potential, phase._potential(z, traj.edges))
+
+    @pytest.mark.parametrize("runs", [3, 4], ids=["below", "past"])
+    def test_mean_field_batch_straddling_the_switch(self, runs):
+        """Runs of 30 agents: a batch of three has 90 headings (np.exp),
+        one of four 120 (np.cos/np.sin); each row equals the serial loop."""
+        assert (runs * 30 >= phase.UNIT_COS_SIN_MIN) == (runs == 4)
+        rng = np.random.default_rng(30 + runs)
+        cfgs = [SimulationConfig(n=30, theta0=rng.uniform(-1.0, 1.0, 30),
+                                 gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, 30))),
+                                 t_max=6.0, record_stride=20) for _ in range(runs)]
+        for cfg, result in zip(cfgs, simulate_batch(cfgs)):
+            assert_matches_reference(cfg, *result)
+
+    def test_mixed_batch_past_the_switch(self):
+        """A ring, a path with chords and a mean-field run of 40 agents in
+        one batch of 120 headings, one of them starting at -0.0 and one
+        saturating run beside them in a batch of its own."""
+        rng = np.random.default_rng(40)
+        theta0 = rng.uniform(-1.0, 1.0, 40)
+        theta0[3] = -0.0
+        base = dict(n=40, gains=GainVector(-(10.0 ** rng.uniform(-0.3, 0.4, 40))), t_max=3.0,
+                    record_stride=7)
+        cfgs = [SimulationConfig(**base, theta0=theta0, topology=ring_graph(40)),
+                SimulationConfig(**base, theta0=-theta0, topology=edge_list_graph(40)),
+                SimulationConfig(**base, theta0=theta0[::-1].copy()),
+                SimulationConfig(**base, theta0=theta0, u_max=0.2, saturate=True)]
+        for cfg, result in zip(cfgs, simulate_batch(cfgs)):
+            assert_matches_reference(cfg, *result)
+
+
 def test_saturating_clip_equals_np_clip_bitwise():
     """The right-hand side clips with maximum and then minimum against 0-d
     bounds, bit for bit np.clip's result: on nan, +-inf, +-0.0, subnormals,
@@ -1335,7 +1418,9 @@ def test_saturating_clip_equals_np_clip_bitwise():
 
     def commands(u_max):
         u, z = np.empty(n), np.empty(n, dtype=complex)
-        dynamics._make_rhs(kvec, None, [None], u_max, n)(u, z)(1j * theta)
+        angle, bind = dynamics._make_rhs(kvec, None, [None], u_max, n, False)
+        angle[:] = theta
+        bind(u, z)()
         return u
 
     raw = commands(None)

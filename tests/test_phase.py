@@ -20,7 +20,8 @@ from swarmsync import (
     order_parameter,
     ring_graph,
 )
-from swarmsync.phase import _grad, _potential
+from swarmsync import phase
+from swarmsync.phase import _expi, _grad, _potential, _unit_vectors
 from swarmsync.topology import edge_arrays
 
 RNG = np.random.default_rng(101)
@@ -298,3 +299,72 @@ class TestLyapunovRate:
         gains = -RNG.uniform(0.5, 2.0, 5)
         g = laplacian_potential_grad(theta, lap)
         assert lyapunov_rate(theta, gains, lap) == pytest.approx(np.sum(gains * g * g), abs=1e-12)
+
+
+def exp_bits(theta) -> bytes:
+    return np.exp(1j * np.asarray(theta, dtype=float)).tobytes()
+
+
+class TestUnitVectors:
+    """phase._unit_vectors, the one way e^{i theta} is computed, and _expi
+    on it: the floats of np.exp(1j * theta) whichever way the size picks."""
+
+    SPECIAL = np.array([0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, 5e-324, -5e-324,
+                        2.2250738585072014e-308, -1e-310, 1e-300, 1e300, -1e300,
+                        np.finfo(float).max, -np.finfo(float).max])
+
+    @pytest.fixture(params=["cos_sin", "exp"])
+    def way(self, request, monkeypatch):
+        """Forces the way for every size: the switch at 0 (np.cos/np.sin) or
+        beyond any size (one complex np.exp)."""
+        monkeypatch.setattr(phase, "UNIT_COS_SIN_MIN", 0 if request.param == "cos_sin" else np.inf)
+        return request.param
+
+    @pytest.mark.parametrize("scale", [4.0, 100.0, 1e5, 1e12])
+    def test_seeded_angles_bitwise(self, way, scale):
+        """2**20 seeded angles a scale, in +-scale, through _expi."""
+        theta = np.random.default_rng(int(scale) % 2**32).uniform(-scale, scale, 2**20)
+        assert _expi(theta).tobytes() == exp_bits(theta)
+
+    def test_special_angles_bitwise(self, way):
+        """+-0.0, +-pi, +-pi/2, subnormals, the smallest normal, 1e300 and the
+        float limit; also in a 2-D array and a strided view."""
+        assert _expi(self.SPECIAL).tobytes() == exp_bits(self.SPECIAL)
+        grid = np.tile(self.SPECIAL, (3, 1))
+        assert _expi(grid).tobytes() == exp_bits(grid)
+        assert _expi(grid[:, ::2]).tobytes() == exp_bits(grid[:, ::2])
+
+    def test_negative_zero_is_the_one_exception(self, way):
+        """1j * -0.0 has the imaginary part +0.0; both ways keep the sign of
+        -0.0 in sin, and ``zero`` turns it into +0.0 first."""
+        for zero in (False, True):
+            angle, bind = _unit_vectors(self.SPECIAL.shape, zero)
+            angle[:] = self.SPECIAL
+            z = np.empty(self.SPECIAL.shape, dtype=complex)
+            bind(z)()
+            differs = z.view(np.uint64) != np.exp(1j * self.SPECIAL).view(np.uint64)
+            assert differs.ravel().tolist() == ([False] * 3 + [True] + [False] * 26
+                                                if not zero else [False] * 30)
+
+    def test_size_picks_the_way(self):
+        """Below UNIT_COS_SIN_MIN angles the angle buffer is the imaginary
+        part of np.exp's complex input; from it on, a plain float array."""
+        below, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN - 1,), False)
+        at, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN,), False)
+        assert below.base is not None and below.base.dtype == complex
+        assert at.base is None and at.dtype == float
+
+    def test_public_functions_use_it(self, monkeypatch):
+        """Every public function of headings gives the same floats whichever
+        way is taken, at a size where the switch picks np.cos/np.sin."""
+        theta = RNG.uniform(-3.0, 3.0, 150)
+        lap = laplacian(ring_graph(150))
+        results = []
+        for at in (0, np.inf):
+            monkeypatch.setattr(phase, "UNIT_COS_SIN_MIN", at)
+            op = order_parameter(theta)
+            results.append([op.magnitude, op.mean_phase, alignment_potential(theta),
+                            laplacian_potential(theta, lap),
+                            *alignment_potential_grad(theta), *laplacian_potential_grad(theta, lap),
+                            lyapunov_rate(theta, -np.ones(150), lap)])
+        assert np.array(results[0]).tobytes() == np.array(results[1]).tobytes()

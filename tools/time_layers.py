@@ -7,17 +7,22 @@ benchmark's ring-large-n workload: headings spread over about 1 rad, far
 from sync; negative gains; DT = 0.01 s; STEPS = 50 steps, every STRIDE = 5th
 recorded.
 
+  unit       phase._unit_vectors alone: e^{i theta} of the n headings
   rhs        one right-hand-side evaluation of _make_rhs
   step       one RK4 step of _rk4_step
   observer   one _sync_block call over a block of as many steps as
-             _integrate puts in one (OBSERVER_BLOCK_BYTES)
+             _integrate puts in one (_block_steps)
   outcome    _outcome: the recorded controls and the record's derived columns
   csv        TrajectoryRecord.to_csv of that record
   geometry   angles.heading_spread plus analysis.rotated_frame of the headings
 
 A repeat calls a layer until ROUND_S seconds have passed; the output gives
 each layer's median and quartiles over the repeats in microseconds a call,
-with the interpreter, numpy and core count.
+with the interpreter, numpy and core count. ``unit_ways_us`` times the unit
+layer bound each way _unit_vectors can take, one complex np.exp and
+np.cos/np.sin, whichever phase.UNIT_COS_SIN_MIN would pick at this n;
+running the script at several n locates the crossover that constant is set
+from.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from swarmsync import analysis, dynamics  # noqa: E402
+from swarmsync import analysis, dynamics, phase  # noqa: E402
 from swarmsync.angles import heading_spread  # noqa: E402
 from swarmsync.control import GainVector  # noqa: E402
 from swarmsync.topology import ring_graph  # noqa: E402
@@ -63,7 +68,8 @@ def per_call_us(fn, repeats: int) -> dict:
 
 
 def layers(n: int, topology: str, seed: int, csv_path: Path):
-    """The zero-argument callable of each layer, and the shapes they run on."""
+    """The zero-argument callable of each layer, those of unit_ways, and the
+    shapes they run on."""
     rng = np.random.default_rng(seed)
     cfg = dynamics.SimulationConfig(
         n=n, theta0=rng.uniform(0.0, 1.0, n), gains=GainVector(-rng.uniform(0.5, 2.0, n)),
@@ -73,14 +79,14 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
     n_steps, _ = dynamics._step_counts(cfg)
     y0 = dynamics._start(cfg)
 
-    bind = dynamics._make_rhs(kvec, omega0, [edges], u_max, n)
+    angle, bind = dynamics._make_rhs(kvec, omega0, [edges], u_max, n, False)
+    angle[:] = y0[0]
     rhs = bind(np.empty(n), np.empty(n, dtype=complex))
-    exponent = 1j * y0[0]
-    step = dynamics._rk4_step(bind, DT, n)[0]
+    step = dynamics._rk4_step((angle, bind), DT, n)[0]
     y = np.concatenate((y0[0], y0[1:].T.ravel()))
     out = np.empty_like(y)
 
-    slots = max(2, min(dynamics.OBSERVER_BLOCK_BYTES // y0.nbytes, n_steps + 1))
+    slots = dynamics._block_steps(y0.nbytes, n_steps)
     block = np.empty((slots, y.size))
     block[0] = y
     for j in range(1, slots):
@@ -100,13 +106,35 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         analysis.rotated_frame(cfg.theta0)
 
     return {
-        "rhs": lambda: rhs(exponent),
+        "unit": unit_vectors(y0[0]),
+        "rhs": rhs,
         "step": lambda: step(y, out),
         "observer": observer,
         "outcome": lambda: dynamics._outcome(cfg, n_steps, run, 0),
         "csv": lambda: traj.to_csv(csv_path),
         "geometry": geometry,
-    }, {"observer_block_steps": slots, "samples": traj.sample_count}
+    }, unit_ways(y0[0]), {"observer_block_steps": slots, "samples": traj.sample_count}
+
+
+def unit_vectors(theta: np.ndarray):
+    """The zero-argument writer of e^{i theta} that phase._unit_vectors
+    binds for these headings, as the right-hand side uses it."""
+    angle, bind = phase._unit_vectors(theta.shape, False)
+    angle[:] = theta
+    return bind(np.empty(theta.shape, dtype=complex))
+
+
+def unit_ways(theta: np.ndarray) -> dict:
+    """The unit layer bound each way _unit_vectors can take: one complex
+    np.exp (the switch set above the size) and np.cos/np.sin (set to 0)."""
+    switch, ways = phase.UNIT_COS_SIN_MIN, {}
+    try:
+        for way, at in (("exp", np.inf), ("cos_sin", 0)):
+            phase.UNIT_COS_SIN_MIN = at
+            ways[way] = unit_vectors(theta)
+    finally:
+        phase.UNIT_COS_SIN_MIN = switch
+    return ways
 
 
 def main(argv=None) -> int:
@@ -117,12 +145,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        fns, shape = layers(args.n, args.topology, args.seed, Path(tmp) / "trajectory.csv")
+        fns, ways, shape = layers(args.n, args.topology, args.seed, Path(tmp) / "trajectory.csv")
         timings = {name: per_call_us(fn, args.repeats) for name, fn in fns.items()}
+        ways = {name: per_call_us(fn, args.repeats) for name, fn in ways.items()}
     print(json.dumps({
         "n": args.n, "topology": args.topology, "steps": STEPS, "stride": STRIDE,
         "dt": DT, "batch": 1, "repeats": args.repeats, "round_s": ROUND_S,
-        "seed": args.seed, **shape, "layers_us": timings,
+        "seed": args.seed, **shape, "layers_us": timings, "unit_ways_us": ways,
+        "unit_cos_sin_min": phase.UNIT_COS_SIN_MIN,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "cores": os.cpu_count(),
                 "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")},
