@@ -33,16 +33,15 @@ from .control import (
     named_gain_set,
 )
 from .dynamics import (
-    ConvergenceReport,
     DivergenceError,
     SimulationConfig,
     SwarmState,
-    TrajectoryRecord,
     rotating_frame,
     simulate,
     simulate_batch,
     step,
 )
+from .output import ConvergenceReport, TrajectoryRecord
 from .phase import (
     OrderParameter,
     alignment_potential,
@@ -90,15 +89,15 @@ __all__ = [
     "control_limited",
     "gain_cap",
     "named_gain_set",
-    "ConvergenceReport",
     "DivergenceError",
     "SimulationConfig",
     "SwarmState",
-    "TrajectoryRecord",
     "rotating_frame",
     "simulate",
     "simulate_batch",
     "step",
+    "ConvergenceReport",
+    "TrajectoryRecord",
     "OrderParameter",
     "alignment_potential",
     "alignment_potential_grad",

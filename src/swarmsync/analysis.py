@@ -100,7 +100,8 @@ def _prediction(frame: RotatedFrame, gains) -> float:
         raise ValueError("all gains must be negative for this operation")
     if k.size != frame.theta_hat0.size:
         raise ValueError("gains length does not match headings")
-    inv = 1.0 / k
+    # s/K, s the power of two at min|K|: exact, and |s/K| <= 1 so the sum cannot overflow
+    inv = np.ldexp(1.0, np.frexp(np.abs(k).min())[1] - 1) / k
     return float(wrap_angle(float((frame.theta_hat0 @ inv) / inv.sum()) + frame.theta_R))
 
 
@@ -291,6 +292,7 @@ def two_agent_direction(theta0, gains) -> float:
     k = as_gains(gains)
     if k.size != 2:
         raise ValueError("two_agent_direction needs exactly 2 gains")
+    k = k / np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1)  # exact: K_1 + K_2 cannot overflow
     if not k.sum() < 0.0:
         raise ValueError("requires K_1 + K_2 < 0")
     frame = _require_acute(rotated_frame(th))

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, dump_config, load_config, with_overrides
-from .dynamics import DivergenceError, _json_text, simulate, write_run
+from .dynamics import DivergenceError, simulate
+from .output import json_text, write_run, write_synthesized
 from .scenarios import SCENARIOS, run_scenario
 
 DEFAULT_OUT = "out"
@@ -34,7 +35,7 @@ DEFAULT_OUT = "out"
 
 def _emit(obj) -> None:
     # flushed here, so a closed stdout raises inside main, not at exit
-    print(_json_text(obj), flush=True)
+    print(json_text(obj), flush=True)
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -58,8 +59,8 @@ def _synthesize(cfg, args) -> tuple[dict, int]:
     # one rotated frame serves both the synthesis and the prediction
     gains, frame = analysis._synthesis(cfg.theta0, np.deg2rad(args.target_deg), args.c)
     doc = {"gains": gains.gains.tolist(), **_direction(analysis._prediction(frame, gains))}
-    cfg_path = _out_dir(args.out) / "config_synthesized.json"
-    cfg_path.write_text(_json_text(dump_config(dataclasses.replace(cfg, gains=gains))))
+    cfg_path = write_synthesized(_out_dir(args.out),
+                                 dump_config(dataclasses.replace(cfg, gains=gains)))
     return {**doc, "config": str(cfg_path)}, 0
 
 

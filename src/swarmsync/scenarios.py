@@ -2,11 +2,11 @@
 
 A scenario is a table of config documents, plain dicts in the config schema
 that parse_config reads as it reads a user's --config file, plus the checks
-its outcome is expected to satisfy (_scenario_checks). It writes per-run
-trajectory/convergence files and a scenario-level summary. A scenario's runs
-go through one simulate_batch call, so runs that share n, dt, t_max, stride
-and clip limit are integrated together whatever their law, each equal to its
-own simulate() bit for bit: sim1 and sim1-omega are one batch of four
+its outcome is expected to satisfy (_scenario_checks); output.write_scenario
+writes its per-run trajectory/convergence files and its summary. A scenario's
+runs go through one simulate_batch call, so runs that share n, dt, t_max,
+stride and clip limit are integrated together whatever their law, each equal
+to its own simulate() bit for bit: sim1 and sim1-omega are one batch of four
 mean-field and ring runs each, and sim2, sim3-caps and sim3-sat one batch of two.
 
     sim1        six agents, heterogeneous negative gain sets, straight-line
@@ -22,14 +22,13 @@ mean-field and ring runs each, and sim2, sim3-caps and sim3-sat one batch of two
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .analysis import predict_direction
 from .angles import wrap_angle
 from .config import parse_config, with_overrides
-from .dynamics import SimulationConfig, _json_text, simulate_batch, write_run
+from .dynamics import SimulationConfig, simulate_batch
+from .output import write_scenario
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # scenarios.simulate by name.
 from .dynamics import simulate  # noqa: F401
@@ -152,14 +151,11 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
-    base = Path(out_dir) / name
     configs = {run_name: with_overrides(cfg, dt, t_max, seed)
                for run_name, cfg in SCENARIOS[name]()}
-    summary_runs = {}
-    for (run_name, cfg), (traj, report) in zip(configs.items(),
-                                               simulate_batch(configs.values())):
-        write_run(base / run_name, traj, report)
-        summary_runs[run_name] = _run_summary(cfg, traj, report)
+    records = dict(zip(configs, simulate_batch(configs.values())))
+    summary_runs = {run_name: _run_summary(configs[run_name], *record)
+                    for run_name, record in records.items()}
     checks, observations = _scenario_checks(name, configs, summary_runs)
     summary = {
         "scenario": name,
@@ -167,6 +163,6 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
         "checks": checks,
         "observations": observations,
     }
-    (base / "summary.json").write_text(_json_text(summary))
+    write_scenario(out_dir, name, records, summary)
     code = 0 if all(checks.values()) else 2
     return code, summary

@@ -170,6 +170,19 @@ class TestPredictDirection:
             hat_c = (frame.theta_hat0 @ inv) / inv.sum()
             assert 0.0 < hat_c < frame.span
 
+    def test_power_of_two_weights_match_plain_reciprocals(self):
+        """The 1/K weights are scaled by an exact power of two, and the formula
+        is homogeneous of degree 0 in K: on gains whose 1/K neither over- nor
+        underflows the answer is the plain formula's, bit for bit."""
+        rng = np.random.default_rng(2309)
+        for _ in range(500):
+            theta0, _ = random_acute_headings(rng)
+            frame = rotated_frame(theta0)
+            k = -np.exp(rng.uniform(-30.0, 30.0, theta0.size))
+            inv = 1.0 / k
+            plain = float(wrap_angle(float((frame.theta_hat0 @ inv) / inv.sum()) + frame.theta_R))
+            assert predict_direction(theta0, k) == plain
+
 
 def random_connected_graph(rng, n):
     """A random spanning tree on n nodes plus up to n - 1 random chords."""
@@ -422,6 +435,27 @@ class TestTwoAgentDirection:
     def test_rejects_nonnegative_sum(self):
         with pytest.raises(ValueError):
             two_agent_direction([0.0, 1.0], [2.0, -1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_gains_near_the_float_limit(self):
+        """K_1 + K_2 of two -1e308 gains overflowed to -inf, and the
+        direction read 0 deg for 20; the gains are now scaled by a power of
+        two first."""
+        got = two_agent_direction(np.deg2rad([0.0, 40.0]), [-1e308, -1e308])
+        assert np.degrees(got) == pytest.approx(20.0, abs=1e-9)
+
+    def test_power_of_two_gains_match_plain_gains(self):
+        """Scaling both gains by a power of two is exact, so on gains whose
+        products and sum neither over- nor underflow the answer is the plain
+        formula's, bit for bit."""
+        rng = np.random.default_rng(2310)
+        for _ in range(500):
+            theta0, _ = random_acute_headings(rng, n=2)
+            k1 = float(np.exp(rng.uniform(-30.0, 30.0)) * rng.choice([-1.0, 1.0]))
+            k = np.array([k1, -abs(k1) * np.exp(rng.uniform(0.1, 10.0))])
+            frame = rotated_frame(theta0)
+            plain = (k[1] * frame.theta_hat0[0] + k[0] * frame.theta_hat0[1]) / k.sum()
+            assert two_agent_direction(theta0, k) == float(wrap_angle(plain + frame.theta_R))
 
 
 def two_agent_cases():

@@ -27,10 +27,11 @@ from swarmsync import (
     parse_config,
     run_scenario,
 )
-from swarmsync import analysis, cli, config, dynamics, scenarios, synthesize_gains
+from swarmsync import analysis, cli, config, dynamics, output, scenarios, synthesize_gains
 from swarmsync.cli import main
 from swarmsync.config import with_overrides
-from swarmsync.dynamics import STEP_BUDGET, SimulationConfig, _step_counts, simulate, write_run
+from swarmsync.dynamics import STEP_BUDGET, SimulationConfig, _step_counts, simulate
+from swarmsync.output import write_run
 
 BASE_DOC = {
     "n": 2,
@@ -598,7 +599,7 @@ class TestOutputs:
         make, extra, _ = REPORTS[cls]
         out = make().to_dict()
         assert set(out) == {f.name for f in dataclasses.fields(cls)} | {extra}
-        strict_json(dynamics._json_text(out))
+        strict_json(output.json_text(out))
 
     def test_command_outputs_are_strict_json(self, tmp_path, capsys):
         for texts in command_outputs(tmp_path, capsys).values():
@@ -959,6 +960,29 @@ class TestClosedFormCommands:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert names in strict_json(proc.stdout)["error"]["message"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("theta0_deg, expected_deg, overflows", [
+        ([-40.0, 5.0, 30.0], -17.5, False), ([40.0, 50.0, 30.0], 45.0, True)])
+    def test_gains_at_the_reciprocal_limit(self, tmp_path, theta0_deg, expected_deg, overflows):
+        """Gains of -6e-309 have a finite 1/K near the largest float. predict
+        once printed numpy's overflow warning and answered -40 or 30 deg, the
+        third heading's; simulate printed the overflow of the conserved
+        column. Now predict answers the 1/K-weighted direction, simulate exits
+        2 (the two slow agents do not sync by t_max) with that column -inf
+        where it overflows, and neither writes to stderr."""
+        cfg = write_config(tmp_path, {**BASE_DOC, "n": 3, "theta0_deg": theta0_deg,
+                                      "gains": [-6e-309, -6e-309, -1.0], "t_max": 1.0})
+        proc = run_fresh(["-m", "swarmsync.cli", "predict", "--config", str(cfg)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert strict_json(proc.stdout)["theta_c_deg"] == pytest.approx(expected_deg, abs=1e-9)
+        out_dir = tmp_path / "out"
+        proc = run_fresh(["-m", "swarmsync.cli", "simulate", "--config", str(cfg),
+                          "--out", str(out_dir)])
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        conserved = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+        assert conserved.size == 101  # t_max 1 s at the default dt 0.01 and stride 1
+        assert np.all(conserved == -np.inf) if overflows else np.all(np.isfinite(conserved))
 
 
 class TestStrictEntries:

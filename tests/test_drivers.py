@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmsync import SCENARIOS, cli, dynamics, scenarios
+from swarmsync import SCENARIOS, cli, output, scenarios
 from swarmsync.cli import main
 from swarmsync.config import dump_config
 
@@ -61,7 +61,7 @@ class TestScenarioTable:
 
     @pytest.mark.parametrize("name", list(SCENARIO_PINS))
     def test_runs_are_pinned(self, name):
-        runs = [(run_name, hashlib.sha256(dynamics._json_text(dump_config(cfg)).encode())
+        runs = [(run_name, hashlib.sha256(output.json_text(dump_config(cfg)).encode())
                  .hexdigest()) for run_name, cfg in SCENARIOS[name]()]
         assert runs == SCENARIO_PINS[name]
 
@@ -233,8 +233,8 @@ class TestLayerTimer:
                               capture_output=True, text=True, timeout=120, check=True)
         doc = json.loads(proc.stdout)
         assert (doc["n"], doc["topology"], doc["samples"]) == (8, topology, 11)
-        assert set(doc["layers_us"]) == {"unit", "rhs", "step", "observer", "outcome", "csv",
-                                         "geometry"}
+        assert set(doc["layers_us"]) == {"unit", "rhs", "step", "observer", "outcome", "derive",
+                                         "csv", "geometry"}
         assert set(doc["unit_ways_us"]) == {"exp", "cos_sin"}
         assert all(layer["median"] > 0.0 and layer["calls"] >= 1
                    for layer in [*doc["layers_us"].values(), *doc["unit_ways_us"].values()])

@@ -1,4 +1,4 @@
-"""The JSON writer against its oracle: dynamics._json_text must return the
+"""The JSON writer against its oracle: output.json_text must return the
 bytes of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) on the
 running interpreter, and raise the same exception type with the same message
 where json.dumps raises."""
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from swarmsync.dynamics import _json_text
+from swarmsync.output import json_text as _json_text
 
 
 def reference(obj) -> str:

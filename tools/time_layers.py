@@ -13,6 +13,9 @@ recorded.
   observer   one _sync_block call over a block of as many steps as
              _integrate puts in one (_block_steps)
   outcome    _outcome: the recorded controls and the record's derived columns
+  derive     TrajectoryRecord construction alone: the derived columns of that
+             record, from the run's recorded views, given z = e^{i theta} and
+             the edge products as _outcome passes them
   csv        TrajectoryRecord.to_csv of that record
   geometry   angles.heading_spread plus analysis.rotated_frame of the headings
 
@@ -40,7 +43,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from swarmsync import analysis, dynamics, phase  # noqa: E402
+from swarmsync import analysis, dynamics, output, phase  # noqa: E402
 from swarmsync.angles import heading_spread  # noqa: E402
 from swarmsync.control import GainVector  # noqa: E402
 from swarmsync.topology import ring_graph  # noqa: E402
@@ -100,6 +103,14 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
                               n_steps, STRIDE)
     traj, _ = dynamics._outcome(cfg, n_steps, run, 0)
     final = run[2][0]
+    z = phase._expi(traj.theta)
+    products = None if edges is None else phase._edge_products(z, *edges)
+
+    def derive():  # traj's theta and positions are the views of run that _outcome passes
+        output.TrajectoryRecord(
+            times=traj.times, theta=traj.theta, positions=traj.positions, controls=traj.controls,
+            saturated=traj.saturated, gains=kvec, omega0=omega0, edges=edges, z=z,
+            edge_products=products)
 
     def geometry():
         heading_spread(final)
@@ -111,6 +122,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         "step": lambda: step(y, out),
         "observer": observer,
         "outcome": lambda: dynamics._outcome(cfg, n_steps, run, 0),
+        "derive": derive,
         "csv": lambda: traj.to_csv(csv_path),
         "geometry": geometry,
     }, unit_ways(y0[0]), {"observer_block_steps": slots, "samples": traj.sample_count}
