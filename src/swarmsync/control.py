@@ -76,26 +76,26 @@ def as_gains(gains) -> np.ndarray:
     return GainVector(np.asarray(gains, dtype=float)).gains
 
 
-def control_all_to_all(theta, gains, omega0: float = 0.0) -> np.ndarray:
-    """Mean-field command u_k = omega0 - (K_k/N) sum_{j != k} sin(theta_j - theta_k)."""
-    th = as_heading_vector(theta)
-    k = as_gains(gains)
+def _command(theta, gains, omega0: float, g: InteractionGraph | None) -> np.ndarray:
+    """u_k = omega0 + K_k * dPhi/dtheta_k: g's neighbor law, the mean-field law for g None."""
+    th, k = as_heading_vector(theta), as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    return omega0 + k * _grad(_expi(th), None)
+    if g is not None and g.n != th.size:
+        raise ValueError("graph size does not match headings")
+    if g is not None and not is_connected(g):
+        warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
+    return omega0 + k * _grad(_expi(th), None if g is None else edge_arrays(g))
+
+
+def control_all_to_all(theta, gains, omega0: float = 0.0) -> np.ndarray:
+    """Mean-field command u_k = omega0 - (K_k/N) sum_{j != k} sin(theta_j - theta_k)."""
+    return _command(theta, gains, omega0, None)
 
 
 def control_limited(theta, gains, g: InteractionGraph, omega0: float = 0.0) -> np.ndarray:
     """Neighbor command u_k = omega0 - K_k sum_{j in N_k} sin(theta_j - theta_k)."""
-    th = as_heading_vector(theta)
-    k = as_gains(gains)
-    if k.size != th.size:
-        raise ValueError("gains length does not match headings")
-    if g.n != th.size:
-        raise ValueError("graph size does not match headings")
-    if not is_connected(g):
-        warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
-    return omega0 + k * _grad(_expi(th), edge_arrays(g))
+    return _command(theta, gains, omega0, g)
 
 
 def gain_cap(n: int, u_max: float) -> float:

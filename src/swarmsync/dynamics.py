@@ -20,14 +20,13 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .angles import heading_spread, wrap_angle
 from .control import GainVector
 from .output import ConvergenceReport, TrajectoryRecord
-from .phase import _edge_products, _expi, _grad, _unit_vectors, as_heading_vector
+from .phase import _coupling, _edge_products, _expi, _grad, _unit_vectors, as_heading_vector
 from .topology import InteractionGraph, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
@@ -151,49 +150,23 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
 
 
 def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int, zero: bool):
-    """(angle, bind) for R runs of n agents that share u_max, one run per
-    entry of edges (its edge arrays, None for mean-field; mean-field runs
-    first), kvec and omega0 broadcast to (R, n). angle is the float buffer
-    that holds a stage's R*n heading angles and bind(u, z) gives that
-    stage's rhs(), which writes e^{i angle} into z (phase._unit_vectors,
-    which picks np.exp or np.cos/np.sin once from R*n and adds +0.0 to the
-    angles first when ``zero`` is set) and the commands into u. Run r's
-    headings are r*n..r*n+n-1 of one flat row, so e^{i theta}, gains, omega0
-    and clip run once over it. Graph runs take _grad's 1-D bincount over the
-    disjoint union of their edges; mean-field runs _grad's Im(conj(p) z), p a
-    scalar for one run, else a (R_mf, 1) buffer divided by a 0-d complex n.
-    omega0 None adds nothing (exact where _integrate passes it). The clip is
-    np.clip's maximum then minimum, called without np.clip's Python layers."""
-    runs, mf = len(edges), sum(e is None for e in edges)
-    k, n_c = mf * n, np.array(n, dtype=complex)
+    """(angle, bind) for R runs of n agents that share u_max, one per entry of
+    edges (as phase._coupling takes them), kvec and omega0 broadcast to (R,
+    n), all one flat row. angle is the float buffer of a stage's R*n angles;
+    bind(u, z) binds phase._coupling's kernel to z once and gives the stage's
+    rhs(), which writes e^{i angle} into z (phase._unit_vectors, ``zero``
+    adding +0.0 to the angles first) and the commands into u. omega0 None
+    adds nothing (exact where _integrate passes it). The clip is np.clip's
+    maximum then minimum, called without np.clip's Python layers."""
+    runs = len(edges)
     kvec = np.full((runs, n), kvec, dtype=float).ravel()
     omega0 = None if omega0 is None else np.full((runs, n), omega0, dtype=float).ravel()
     lo, hi = (np.array(b) for b in (-u_max, u_max)) if u_max is not None else (None, None)
-    union = tuple(np.concatenate([e[j] + r * n for r, e in enumerate(edges) if e is not None])
-                  for j in (0, 1)) if mf < runs else None  # run r's nodes offset by r*n
     angle, unit_into = _unit_vectors((runs * n,), zero)
+    coupling = _coupling(edges, n)
 
     def bind(u: np.ndarray, z: np.ndarray):
-        w, p = np.empty(k, dtype=complex), np.empty((mf, 1), dtype=complex)
-        zm, zr, w_imag, wr = z[:k], z[:k].reshape(mf, n), w.imag, w.reshape(mf, n)
-
-        def one_mean():  # a scalar mean: faster than the buffer for one run
-            np.multiply(np.conj(np.add.reduce(zm, -1, None, None, False) / n), zm, w)
-            return w_imag
-
-        def means():  # a mean per run
-            np.add.reduce(zr, -1, None, p, True)
-            np.multiply(np.conjugate(np.divide(p, n_c, p), p), zr, wr)
-            return w_imag
-
-        def mixed():
-            g = _grad(z, union)
-            g[:k] = mean()
-            return g
-
-        mean = one_mean if mf == 1 else means
-        grad = mean if mf == runs else partial(_grad, z, union) if mf == 0 else mixed
-        write = unit_into(z)
+        write, grad = unit_into(z), coupling(z)
 
         def rhs() -> None:
             write()

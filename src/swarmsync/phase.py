@@ -125,38 +125,62 @@ def order_parameter(theta) -> OrderParameter:
 
 def _edge_products(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """z[..., src] * conj(z[..., dst]) for a batch z, the same floats as the
-    1-D expression in _grad with one (..., edges) temporary fewer."""
+    kernel's plain gather in _coupling with one (..., edges) temporary fewer."""
     prod = z[..., src]
     other = z[..., dst]
     prod *= np.conjugate(other, out=other)
     return prod
 
 
+def _coupling(edges: list, n: int, rows: int = 1, products: np.ndarray | None = None):
+    """bind for the one coupling kernel, dPhi/dtheta over R rows of n agents,
+    ``rows`` consecutive rows under each law in edges: None for the
+    mean-field potential (these first), else the graph's (src, dst) of
+    topology.edge_arrays. bind(z) gives grad() at the flat z = e^{i theta};
+    a caller with the graph rows' _edge_products of that z passes them as
+    ``products`` (no dst is built). Component k is Im(conj(p) z_k) in a
+    mean-field row, p its mean, and sum_{j in N_k} Im(z_k conj(z_j)) in a
+    graph row, gathered by plain z[src] and summed in the row's own order by
+    one bincount over the rows' edge union, built here. The RHS, recorded
+    controls, control API and public gradients all evaluate it, bit for bit."""
+    runs, mf = len(edges) * rows, edges.count(None) * rows
+    k, size, n_c = mf * n, runs * n, np.array(n, dtype=complex)
+    off = np.arange(0, size, n).reshape(-1, rows, 1) if mf < runs else None  # r*n for row r
+    src, dst = (np.concatenate([(e[j] + o).ravel() for e, o in zip(edges, off) if e is not None])
+                if mf < runs and (j == 0 or products is None) else None for j in (0, 1))
+    im = None if products is None else products.imag.ravel()  # Im(products), the union's order
+
+    def bind(z: np.ndarray):
+        w, p = np.empty(k, dtype=complex), np.empty((mf, 1), dtype=complex)
+        zm, zr, w_imag, wr = z[:k], z[:k].reshape(mf, n), w.imag, w.reshape(mf, n)
+
+        def one_mean():  # a scalar mean: faster than the buffer for one row
+            np.multiply(np.conj(np.add.reduce(zm, -1, None, None, False) / n), zm, w)
+            return w_imag
+
+        def means():  # a mean per row
+            np.add.reduce(zr, -1, None, p, True)
+            np.multiply(np.conjugate(np.divide(p, n_c, p), p), zr, wr)
+            return w_imag
+
+        def graph():
+            g = np.bincount(src, (z[src] * z[dst].conj()).imag if im is None else im, size)
+            if k:  # the union has no edge in the mean-field rows, which come first
+                g[:k] = mean()
+            return g
+
+        mean = one_mean if mf == 1 else means
+        return mean if mf == runs else graph
+
+    return bind
+
+
 def _grad(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
           products: np.ndarray | None = None) -> np.ndarray:
-    """dPhi/dtheta_k for unit heading vectors z = e^{i theta} of shape (..., n).
-
-    ``edges`` None selects the mean-field potential, otherwise the graph
-    potential of the directed edge arrays (src, dst) from
-    ``topology.edge_arrays``: component k is -sum_{j in N_k} sin(theta_j -
-    theta_k) = sum_{j in N_k} Im(z_k conj(z_j)), summed per node by one
-    bincount (leading axes get row offsets, so each row sums in the order a
-    1-D call does). The one coupling kernel: the integrator's right-hand
-    side, the recorded controls, the control API and the public gradients
-    all evaluate it, so they agree bit for bit. ``products`` is
-    _edge_products(z, src, dst) when the caller already has it, as a record
-    does for both _grad and _potential.
-    """
-    if edges is None:  # Im(conj(p) z_k) with p the mean; a 1-D z keeps p a scalar
-        p = np.add.reduce(z, axis=-1, keepdims=z.ndim > 1) / z.shape[-1]
-        return (np.conj(p) * z).imag
-    src, dst = edges
-    if products is None:
-        if z.ndim == 1:  # the RHS path: plain indexing, no reshape
-            return np.bincount(src, (z[src] * z[dst].conj()).imag, z.size)
-        products = _edge_products(z, src, dst)
-    rows = np.arange(0, z.size, z.shape[-1])[:, None]
-    return np.bincount((src + rows).ravel(), products.imag.ravel(), z.size).reshape(z.shape)
+    """dPhi/dtheta over the last axis of z = e^{i theta}, each row under the law
+    ``edges``: _coupling's one-shot form, ``products`` shaped as _edge_products'."""
+    n = z.shape[-1]
+    return _coupling([edges], n, z.size // n, products)(z.reshape(-1))().reshape(z.shape)
 
 
 def _potential(z: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None,
@@ -237,10 +261,8 @@ def lyapunov_rate(theta, gains, lap=None) -> float:
     """
     from .control import as_gains  # local import to avoid a cycle
 
-    th = as_heading_vector(theta)
-    k = as_gains(gains)
+    th, k = as_heading_vector(theta), as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
-    edges = None if lap is None else _laplacian_edges(th, lap)
-    g = _grad(_expi(th), edges)
+    g = _grad(_expi(th), None if lap is None else _laplacian_edges(th, lap))
     return float(np.sum(k * g * g))

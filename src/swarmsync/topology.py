@@ -8,6 +8,7 @@ it is symmetric positive semi-definite with the all-ones vector in its kernel
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,13 +23,17 @@ class InteractionGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        canon = []
-        seen = set()
+        canon, seen = [], set()
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
+            for v in e:  # SimulationConfig's rule, as for n; an int passes on its type alone
+                if type(v) is not int and (type(v) is bool or not isinstance(v, numbers.Integral)):
+                    raise ValueError(f"node of edge {e!r} must be an integer, got {v!r}")
             j, k = int(e[0]), int(e[1])
             if j == k:
                 raise ValueError(f"self-loop on node {j} not allowed")

@@ -278,10 +278,14 @@ class TestSimulate:
         assert np.max(np.abs(traj.controls)) <= 0.1
         assert traj.saturated.any()
 
-    @pytest.mark.parametrize("topology", [None, ring_graph(6)], ids=["mean-field", "ring"])
-    def test_recorded_controls_equal_the_law_bitwise(self, six_theta0, topology):
+    @pytest.mark.parametrize("topology,stride", [(None, 5), (ring_graph(6), 5), (None, 10**4),
+                                                 (ring_graph(6), 10**4)],
+                             ids=["mean-field", "ring", "one-sample", "one-sample-ring"])
+    def test_recorded_controls_equal_the_law_bitwise(self, six_theta0, topology, stride):
         """u_k in the record is exactly the command the control API computes
-        from the recorded headings, so the CSV shows what was applied."""
+        from the recorded headings, so the CSV shows what was applied. A
+        stride above the step count records one sample, whose mean-field
+        controls take the kernel's scalar mean, as a 1-D heading vector does."""
         cfg = SimulationConfig(
             n=6,
             theta0=six_theta0,
@@ -289,9 +293,10 @@ class TestSimulate:
             omega0=0.5,
             topology=topology,
             t_max=20.0,
-            record_stride=5,
+            record_stride=stride,
         )
         traj, _ = simulate(cfg)
+        assert traj.sample_count == (1 if stride > 2000 else 401)
         for s in range(traj.sample_count):
             if topology is None:
                 law = control_all_to_all(traj.theta[s], traj.gains, cfg.omega0)

@@ -1,5 +1,7 @@
 """Graph construction, Laplacian structure, connectivity, and spectra."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,23 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             InteractionGraph(3, ((0, 3),))
+
+    @pytest.mark.parametrize("n,edges,bad", [
+        (3, ((0, 1.5), (1, 2)), "node of edge (0, 1.5) must be an integer, got 1.5"),
+        (3, ((0, True), (True, 2)), "node of edge (0, True) must be an integer, got True"),
+        (3.0, ((0, 1), (1, 2), (2, 0)), "n must be an integer, got 3.0"),
+        (True, (), "n must be an integer, got True"),
+    ], ids=["float-node", "bool-node", "float-n", "bool-n"])
+    def test_rejects_non_integer_input(self, n, edges, bad):
+        """A float or bool node count or node is an error that names it, not
+        a node rounded down or a graph that fails later."""
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            InteractionGraph(n, edges)
+
+    def test_accepts_numpy_integers(self):
+        g = InteractionGraph(np.int64(3), ((np.intp(2), np.int32(0)), (np.uint8(1), 2)))
+        assert g.edges == ((0, 2), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
+        assert is_connected(g)
 
     def test_edges_canonicalized(self):
         g = InteractionGraph(4, ((2, 1), (3, 0)))

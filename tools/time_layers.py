@@ -8,7 +8,11 @@ from sync; negative gains; DT = 0.01 s; STEPS = 50 steps, every STRIDE = 5th
 recorded.
 
   unit       phase._unit_vectors alone: e^{i theta} of the n headings
-  rhs        one right-hand-side evaluation of _make_rhs
+  kernel     phase._coupling alone: the coupling kernel over the run's one
+             row, bound to e^{i theta} of the n headings as each RHS stage
+             binds it
+  rhs        one right-hand-side evaluation of _make_rhs, which binds that
+             kernel
   step       one RK4 step of _rk4_step
   observer   one _sync_block call over a block of as many steps as
              _integrate puts in one (_block_steps)
@@ -118,6 +122,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
 
     return {
         "unit": unit_vectors(y0[0]),
+        "kernel": phase._coupling([edges], n)(phase._expi(y0[0])),
         "rhs": rhs,
         "step": lambda: step(y, out),
         "observer": observer,
