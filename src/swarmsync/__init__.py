@@ -48,7 +48,6 @@ from .phase import (
     alignment_potential_grad,
     laplacian_potential,
     laplacian_potential_grad,
-    lyapunov_rate,
     order_parameter,
 )
 from .scenarios import SCENARIOS, run_scenario
@@ -103,7 +102,6 @@ __all__ = [
     "alignment_potential_grad",
     "laplacian_potential",
     "laplacian_potential_grad",
-    "lyapunov_rate",
     "order_parameter",
     "SCENARIOS",
     "run_scenario",

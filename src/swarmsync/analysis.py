@@ -53,31 +53,25 @@ def rotated_frame(theta0) -> RotatedFrame:
     The heading minimizing the maximum relative angle (taken in [0, 2*pi))
     wins, ties going to the smallest index. Only a heading that ends a
     largest circular gap between the sorted headings (within 1e-12 rad, far
-    above rounding) can win, so only those are tried. Initial headings must
-    lie in the open interval (-pi, pi).
+    above rounding) can win, so only those are tried, in O(1) each. Initial
+    headings must lie in the open interval (-pi, pi).
     """
     th = as_heading_vector(theta0)
     if np.any(th <= -np.pi) or np.any(th >= np.pi):
         raise ValueError("initial headings must lie in the open interval (-pi, pi)")
     values, first = np.unique(th, return_index=True)
     gaps = np.diff(values, append=values[0] + TWO_PI)  # gaps[i] ends at values[i+1]
-    ends = np.roll(first, -1)[gaps >= gaps.max() - 1e-12]
-    best_span = np.inf
-    best_rel = None
-    best_ref = 0.0
-    for idx in np.sort(ends):
-        rel = np.mod(th - th[idx], TWO_PI)
-        span = float(rel.max())
-        if span < best_span:
-            best_span = span
-            best_rel = rel
-            best_ref = float(th[idx])
-    return RotatedFrame(
-        theta_R=best_ref,
-        theta_hat0=best_rel,
-        span=best_span,
-        acute=bool(best_span < np.pi),
-    )
+    ends = (np.flatnonzero(gaps >= gaps.max() - 1e-12) + 1) % values.size
+    if ends.size > 1:
+        # np.mod(x - end) grows with x below end and from end on, so a tied
+        # end's largest relative angle is to its predecessor or to the largest
+        v = values[ends]
+        spans = np.maximum(np.mod(values[ends - 1] - v, TWO_PI), np.mod(values[-1] - v, TWO_PI))
+        ends = ends[spans == spans.min()]
+    ref = first[ends].min()
+    rel = np.mod(th - th[ref], TWO_PI)
+    span = float(rel.max())
+    return RotatedFrame(theta_R=float(th[ref]), theta_hat0=rel, span=span, acute=bool(span < np.pi))
 
 
 def _require_acute(frame: RotatedFrame) -> RotatedFrame:
@@ -336,6 +330,9 @@ def _two_agent_gains(frame: RotatedFrame, target: float) -> GainVector:
         positive = beyond / span
         if positive == 0.0:
             raise ValueError("boundary direction requires a zero gain, which is excluded")
+        if not positive < 2.0 ** 53:  # from 2**53 on, 1 + positive rounds the 1 away
+            raise ValueError(f"target {beyond:.3g} rad past an arc of {span:.3g} rad needs a gain "
+                             "ratio beyond/span of 2**53 or more, past double precision")
         k[end], k[other] = positive, -(1.0 + positive)
     return GainVector(k)
 

@@ -24,6 +24,8 @@ from functools import partial
 
 import numpy as np
 
+from .topology import _laplacian_edges
+
 # |p| below this is treated as zero and the mean phase reported as undefined.
 ZERO_MAGNITUDE_TOL = 1e-12
 # From this many angles on, _unit_vectors writes np.cos and np.sin into the
@@ -209,29 +211,6 @@ def alignment_potential_grad(theta) -> np.ndarray:
     return _grad(_expi(as_heading_vector(theta)), None)
 
 
-def _laplacian_edges(th: np.ndarray, lap) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edge arrays of a dense Laplacian over the headings th.
-
-    Only the Laplacian of an unweighted undirected graph (symmetric,
-    off-diagonal entries 0 or -1, diagonal equal to the degree) is accepted:
-    the edge form of the potential equals the quadratic form only for those.
-    """
-    lap = np.asarray(lap, dtype=float)
-    if lap.shape != (th.size, th.size):
-        raise ValueError(
-            f"Laplacian shape {lap.shape} does not match {th.size} headings"
-        )
-    src, dst = np.divmod(np.flatnonzero(lap != 0.0), th.size)  # row-major (k, j)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    back = np.lexsort((src, dst))  # the transposed entries in row-major order
-    if not (np.all(lap[src, dst] == -1.0)
-            and np.array_equal(src, dst[back]) and np.array_equal(dst, src[back])
-            and np.array_equal(np.diagonal(lap), np.bincount(src, minlength=th.size))):
-        raise ValueError("lap is not the Laplacian of an unweighted undirected graph")
-    return src, dst
-
-
 def laplacian_potential(theta, lap) -> float:
     """Graph coupling potential (1/2) <e^{i theta}, L e^{i theta}>.
 
@@ -239,7 +218,7 @@ def laplacian_potential(theta, lap) -> float:
     the Laplacian of an undirected graph.
     """
     th = as_heading_vector(theta)
-    return float(_potential(_expi(th), _laplacian_edges(th, lap)))
+    return float(_potential(_expi(th), _laplacian_edges(lap, th.size)))
 
 
 def laplacian_potential_grad(theta, lap) -> np.ndarray:
@@ -249,20 +228,4 @@ def laplacian_potential_grad(theta, lap) -> np.ndarray:
     to zero for undirected graphs.
     """
     th = as_heading_vector(theta)
-    return _grad(_expi(th), _laplacian_edges(th, lap))
-
-
-def lyapunov_rate(theta, gains, lap=None) -> float:
-    """Time derivative of the active potential under the gradient control law.
-
-    Returns sum_k K_k * (dPhi/dtheta_k)^2 where Phi is the mean-field
-    potential when ``lap`` is None and the graph potential otherwise. Strictly
-    negative away from critical points whenever every gain is negative.
-    """
-    from .control import as_gains  # local import to avoid a cycle
-
-    th, k = as_heading_vector(theta), as_gains(gains)
-    if k.size != th.size:
-        raise ValueError("gains length does not match headings")
-    g = _grad(_expi(th), None if lap is None else _laplacian_edges(th, lap))
-    return float(np.sum(k * g * g))
+    return _grad(_expi(th), _laplacian_edges(lap, th.size))

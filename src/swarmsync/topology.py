@@ -53,10 +53,7 @@ class InteractionGraph:
     @cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        src = np.concatenate((e[:, 0], e[:, 1]))
-        dst = np.concatenate((e[:, 1], e[:, 0]))
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        src, dst = _both_ways(e[:, 0], e[:, 1])
         src.setflags(write=False)
         dst.setflags(write=False)
         return src, dst
@@ -83,6 +80,14 @@ class InteractionGraph:
         return dst[src == k].tolist()
 
 
+def _both_ways(j: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """edge_arrays' (src, dst) of the undirected pairs (j, k): each listed both
+    ways, sorted by (src, dst). InteractionGraph and the dense reader call it."""
+    src, dst = np.concatenate((j, k)), np.concatenate((k, j))
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
 def complete_graph(n: int) -> InteractionGraph:
     """All-pairs graph on n >= 2 nodes; n*(n-1)/2 edges."""
     if n < 2:
@@ -105,6 +110,27 @@ def laplacian(g: InteractionGraph) -> np.ndarray:
     lap[src, dst] = -1.0
     np.fill_diagonal(lap, np.bincount(src, minlength=g.n))
     return lap
+
+
+def _laplacian_edges(lap, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """edge_arrays of the graph whose dense Laplacian over n headings is lap.
+
+    Only the Laplacian of an unweighted undirected graph (symmetric,
+    off-diagonal entries 0 or -1, diagonal equal to the degree) is accepted:
+    the edge form of the potential equals the quadratic form only for those.
+    """
+    lap = np.asarray(lap, dtype=float)
+    if lap.shape != (n, n):
+        raise ValueError(f"Laplacian shape {lap.shape} does not match {n} headings")
+    src, dst = np.divmod(np.flatnonzero(lap != 0.0), n)  # row-major (k, j), one scan
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    upper = src < dst  # symmetric iff these pairs, both ways, are all the entries
+    if not (np.all(lap[src, dst] == -1.0)
+            and np.array_equal((src, dst), _both_ways(src[upper], dst[upper]))
+            and np.array_equal(np.diagonal(lap), np.bincount(src, minlength=n))):
+        raise ValueError("lap is not the Laplacian of an unweighted undirected graph")
+    return src, dst
 
 
 def edge_arrays(g: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,8 @@ class TestRotatedFrame:
     def test_equals_every_reference_search_exactly(self):
         """Against trying every heading as the reference (O(n^2)): same
         theta_R, theta_hat0 and span to the bit, over exact ties, evenly
-        spread headings, antipodal clusters and arcs across the +-pi cut."""
+        spread headings, antipodal clusters and arcs across the +-pi cut, and
+        2,000 evenly spread headings, where every gap ties."""
 
         def every_reference(th):
             best_span, best_rel, best_ref = np.inf, None, 0.0
@@ -113,6 +114,13 @@ class TestRotatedFrame:
                     best_span, best_rel, best_ref = float(rel.max()), rel, float(cand)
             return best_ref, best_rel, best_span
 
+        def check(th):
+            frame = rotated_frame(th)
+            ref, rel, span = every_reference(th)
+            assert frame.theta_R == ref and frame.span == span, repr(th)
+            assert np.array_equal(frame.theta_hat0, rel), repr(th)
+
+        check((np.arange(2000) + 0.5) * (2.0 * np.pi / 2000) - np.pi)
         rng = np.random.default_rng(31)
         for case in range(1500):
             n = int(rng.integers(2, 30))
@@ -128,12 +136,8 @@ class TestRotatedFrame:
                 side = np.where(rng.random(n) < 0.5, np.pi, -np.pi)
                 th = side - np.sign(side) * rng.uniform(1e-9, 0.3, n)
             th = np.asarray(th)[(th > -np.pi) & (th < np.pi)]
-            if th.size < 2:
-                continue
-            frame = rotated_frame(th)
-            ref, rel, span = every_reference(th)
-            assert frame.theta_R == ref and frame.span == span, repr(th)
-            assert np.array_equal(frame.theta_hat0, rel), repr(th)
+            if th.size >= 2:
+                check(th)
 
 
 class TestPredictDirection:
@@ -531,6 +535,42 @@ class TestTwoAgentGains:
         for target_deg in (-60.0, 60.0):
             report = is_reachable(np.deg2rad([-60.0, 60.0]), np.deg2rad(target_deg))
             assert report.reachable_two_agent_extended is False
+
+    @pytest.mark.parametrize("theta0,target", [
+        ((0.6083204091937469, 0.608320409193747), -1.9679333519999285),  # K_1 + K_2 was 0.0
+        ((0.2426027572710514, 0.2426027572710515), 1.5928698396029661),  # was -2.0, 0.675 rad off
+    ])
+    def test_rejects_gains_past_double_precision(self, theta0, target):
+        """Past an arc a few ulps wide, beyond/span reaches 2**53 and 1 +
+        beyond/span rounds the 1 away: the gains raise, naming the limit,
+        and the extended flag is false."""
+        with pytest.raises(ValueError, match=r"2\*\*53 or more, past double precision"):
+            two_agent_gains(theta0, target)
+        assert is_reachable(theta0, target).reachable_two_agent_extended is False
+
+    def test_every_returned_pair_is_stable_and_lands(self):
+        """Seeded fuzz over spans from 10**-16.5 to 2.5 rad, targets anywhere
+        or 1e-17 to 1e-8 rad past an end: every pair returned is sync-stable
+        and steers the pair to within 1e-9 rad of the target."""
+        rng = np.random.default_rng(2025)
+        returned = 0
+        for _ in range(10_000):
+            span = 10.0 ** rng.uniform(-16.5, np.log10(2.5))
+            theta0 = rng.permutation([0.0, span]) + rng.uniform(-np.pi, np.pi - span)
+            past = 10.0 ** rng.uniform(-17.0, -8.0)
+            target = (rng.uniform(-np.pi, np.pi) if rng.random() < 0.5 else
+                      float(wrap_angle(rng.choice([theta0.max() + past, theta0.min() - past]))))
+            if not np.all(np.abs(theta0) < np.pi):
+                continue
+            try:
+                gains = two_agent_gains(theta0, target)
+            except ValueError:
+                continue
+            returned += 1
+            assert gains.sync_stable, (theta0, target)
+            miss = wrap_angle(two_agent_direction(theta0, gains) - target)
+            assert abs(miss) < 1e-9, (theta0, target)
+        assert returned > 8_000
 
     def test_pinned_bits(self):
         """The gains, or the error message, of two_agent_cases() bit for

@@ -16,7 +16,6 @@ from swarmsync import (
     laplacian,
     laplacian_potential,
     laplacian_potential_grad,
-    lyapunov_rate,
     order_parameter,
     ring_graph,
 )
@@ -264,13 +263,22 @@ class TestEdgeKernel:
     def test_rejects_matrices_that_are_not_graph_laplacians(self, lap):
         theta = np.linspace(0.0, 1.0, len(lap))
         for call in (lambda: laplacian_potential(theta, lap),
-                     lambda: laplacian_potential_grad(theta, lap),
-                     lambda: lyapunov_rate(theta, -np.ones(theta.size), lap)):
+                     lambda: laplacian_potential_grad(theta, lap)):
             with pytest.raises(ValueError, match="not the Laplacian"):
                 call()
 
 
+def descent_rate(theta, gains, lap=None) -> float:
+    """sum_k K_k (dPhi/dtheta_k)^2, the time derivative of the potential Phi
+    (mean-field, or the graph's for a Laplacian) under u_k = K_k dPhi/dtheta_k."""
+    g = alignment_potential_grad(theta) if lap is None else laplacian_potential_grad(theta, lap)
+    return float(np.sum(gains * g * g))
+
+
 class TestLyapunovRate:
+    """The paper's descent property, from the public gradients: with negative
+    gains the gradient law never increases the potential."""
+
     def test_strictly_negative_for_negative_gains_off_critical(self):
         for _ in range(100):
             n = int(RNG.integers(2, 10))
@@ -278,10 +286,10 @@ class TestLyapunovRate:
             if np.max(np.abs(alignment_potential_grad(theta))) < 1e-6:
                 continue
             gains = -RNG.uniform(0.1, 5.0, n)
-            assert lyapunov_rate(theta, gains) < 0.0
+            assert descent_rate(theta, gains) < 0.0
 
     def test_zero_at_critical_point(self):
-        assert lyapunov_rate(np.full(4, 0.9), -np.ones(4)) == pytest.approx(0.0, abs=ALGEBRA_TOL)
+        assert descent_rate(np.full(4, 0.9), -np.ones(4)) == pytest.approx(0.0, abs=ALGEBRA_TOL)
 
     def test_two_agent_closed_form(self):
         """For a pair the rate collapses to (1/4)(K_1 + K_2) sin^2(theta_2 - theta_1)."""
@@ -291,14 +299,19 @@ class TestLyapunovRate:
             if np.any(gains == 0.0):
                 continue
             expected = 0.25 * gains.sum() * np.sin(theta[1] - theta[0]) ** 2
-            assert lyapunov_rate(theta, gains) == pytest.approx(expected, abs=ALGEBRA_TOL)
+            assert descent_rate(theta, gains) == pytest.approx(expected, abs=ALGEBRA_TOL)
 
     def test_graph_variant_uses_graph_gradient(self):
+        """On a ring the rate is the graph potential's derivative along the
+        law's velocity (central differences), and negative."""
         lap = laplacian(ring_graph(5))
         theta = RNG.uniform(-2, 2, 5)
         gains = -RNG.uniform(0.5, 2.0, 5)
-        g = laplacian_potential_grad(theta, lap)
-        assert lyapunov_rate(theta, gains, lap) == pytest.approx(np.sum(gains * g * g), abs=1e-12)
+        u, h = gains * laplacian_potential_grad(theta, lap), 1e-6
+        slope = (laplacian_potential(theta + h * u, lap)
+                 - laplacian_potential(theta - h * u, lap)) / (2.0 * h)
+        assert descent_rate(theta, gains, lap) == pytest.approx(slope, abs=FD_TOL)
+        assert descent_rate(theta, gains, lap) < 0.0
 
 
 def exp_bits(theta) -> bytes:
@@ -365,6 +378,5 @@ class TestUnitVectors:
             op = order_parameter(theta)
             results.append([op.magnitude, op.mean_phase, alignment_potential(theta),
                             laplacian_potential(theta, lap),
-                            *alignment_potential_grad(theta), *laplacian_potential_grad(theta, lap),
-                            lyapunov_rate(theta, -np.ones(150), lap)])
+                            *alignment_potential_grad(theta), *laplacian_potential_grad(theta, lap)])
         assert np.array(results[0]).tobytes() == np.array(results[1]).tobytes()

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {module: re.findall(r"`(\w+)`", names) for module, names in
 
 def test_exported_names_are_pinned_and_resolve():
     listed = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(listed) == len(set(listed)) == 49
+    assert len(listed) == len(set(listed)) == 48
     assert len(swarmsync.__all__) == len(set(swarmsync.__all__))
     assert set(swarmsync.__all__) == set(listed)
     for module, names in PUBLIC_NAMES.items():

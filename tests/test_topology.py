@@ -12,7 +12,8 @@ from swarmsync import (
     laplacian,
     ring_graph,
 )
-from swarmsync.topology import edge_arrays
+from swarmsync import laplacian_potential_grad, phase, topology
+from swarmsync.topology import _laplacian_edges, edge_arrays
 
 RNG = np.random.default_rng(202)
 
@@ -168,6 +169,41 @@ class TestLaplacian:
             w = np.linalg.eigvalsh(lap)
             assert w.min() > -1e-10
             np.testing.assert_allclose(lap @ np.ones(n), 0.0, atol=1e-12)
+
+
+class TestDenseReader:
+    """topology._laplacian_edges, the one reader of a dense Laplacian: it
+    returns the graph's own edge arrays, so the dense-Laplacian functions sum
+    each node's edges in the order the integrator does."""
+
+    def test_returns_the_edge_arrays_bit_for_bit(self):
+        """300 seeded graphs, n from 2 to 40, the empty and complete ones
+        included; the gradient of the dense form equals the kernel's."""
+        rng = np.random.default_rng(25)
+        graphs = [InteractionGraph(n, ()) for n in (2, 40)] + [complete_graph(n) for n in (2, 40)]
+        while len(graphs) < 300:
+            n, p = int(rng.integers(2, 41)), rng.uniform()
+            graphs.append(InteractionGraph(n, tuple(
+                (j, k) for j in range(n) for k in range(j + 1, n) if rng.random() < p)))
+        for g in graphs:
+            lap, (src, dst) = laplacian(g), edge_arrays(g)
+            got = _laplacian_edges(lap, g.n)
+            assert got[0].dtype == got[1].dtype == np.intp
+            assert np.array_equal(got[0], src) and np.array_equal(got[1], dst)
+            theta = rng.uniform(-4.0, 4.0, g.n)
+            assert laplacian_potential_grad(theta, lap).tobytes() == phase._grad(
+                phase._expi(theta), (src, dst)).tobytes()
+
+    def test_one_function_orders_both(self, monkeypatch):
+        """InteractionGraph and the reader both list pairs both ways through
+        topology._both_ways."""
+        calls, both_ways = [], topology._both_ways
+        monkeypatch.setattr(topology, "_both_ways",
+                            lambda j, k: calls.append(j.size) or both_ways(j, k))
+        g = ring_graph(5)
+        edge_arrays(g)
+        _laplacian_edges(laplacian(g), g.n)
+        assert calls == [5, 5]
 
 
 class TestConnectivity:

@@ -22,6 +22,9 @@ recorded.
              the edge products as _outcome passes them
   csv        TrajectoryRecord.to_csv of that record
   geometry   angles.heading_spread plus analysis.rotated_frame of the headings
+  geometry_even
+             analysis.rotated_frame of n evenly spread headings, where every
+             circular gap ties and each tied end is a candidate reference
 
 A repeat calls a layer until ROUND_S seconds have passed; the output gives
 each layer's median and quartiles over the repeats in microseconds a call,
@@ -120,6 +123,8 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         heading_spread(final)
         analysis.rotated_frame(cfg.theta0)
 
+    even = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+
     return {
         "unit": unit_vectors(y0[0]),
         "kernel": phase._coupling([edges], n)(phase._expi(y0[0])),
@@ -130,6 +135,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         "derive": derive,
         "csv": lambda: traj.to_csv(csv_path),
         "geometry": geometry,
+        "geometry_even": lambda: analysis.rotated_frame(even),
     }, unit_ways(y0[0]), {"observer_block_steps": slots, "samples": traj.sample_count}
 
 
