@@ -32,9 +32,11 @@ def heading_spread(theta) -> float:
     for headings that span w turns the w + 2 sorted headings on each side of
     every antipode are taken, and the expression above is evaluated on those
     pairs only: the same float as over all pairs, in O(n log n) for headings
-    within a few turns.
+    within a few turns. An empty theta raises ValueError.
     """
     th = np.sort(np.asarray(theta, dtype=float))
+    if th.size == 0:
+        raise ValueError("heading_spread needs at least one heading, got an empty theta")
     th = th[np.append(True, th[1:] != th[:-1])]  # distinct, ascending
     if not np.all(np.isfinite(th)):
         return float("nan")

@@ -16,6 +16,7 @@ which bounds |u_k| by u_max analytically, or clipping the command itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,7 +78,10 @@ def as_gains(gains) -> np.ndarray:
 
 
 def _command(theta, gains, omega0: float, g: InteractionGraph | None) -> np.ndarray:
-    """u_k = omega0 + K_k * dPhi/dtheta_k: g's neighbor law, the mean-field law for g None."""
+    """u_k = omega0 + K_k * dPhi/dtheta_k: g's neighbor law, the mean-field law for g None.
+    A non-finite omega0 raises SimulationConfig's ValueError."""
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0!r}")
     th, k = as_heading_vector(theta), as_gains(gains)
     if k.size != th.size:
         raise ValueError("gains length does not match headings")

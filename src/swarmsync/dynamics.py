@@ -38,9 +38,10 @@ SYNC_PREFIX = 8  # agents whose spread _sync_block tests before all n (see there
 
 # Largest n * (number of recorded samples) simulate() may record. The record
 # arrays (state, control, saturation flag) take 33 bytes a value, 1.1 GB at
-# the budget; with the complex temporaries and the CSV table, the peak RSS of
-# `swarmsync simulate` grew by about 72 bytes a value (measured from 4.2M to
-# 8.4M values at n=2048), so a run at the budget peaks near 2.4 GB.
+# the budget; with the complex temporaries, the peak RSS of `swarmsync
+# simulate` grew by about 64 bytes a value (measured from 4.2M to 8.4M values
+# at n=2048, with the CSV written in blocks of output._CSV_BLOCK values), so
+# a run at the budget peaks near 2.2 GB.
 RECORD_BUDGET = 2**25
 # Largest number of RK4 steps simulate() may take: 6 to 10 minutes at the
 # 20 to 35 us a step of an n=6 mean-field run with stride 1 (a shared 2-core

@@ -74,7 +74,7 @@ class TrajectoryRecord:
 
         Columns: t, theta_1..N (unwrapped rad), x_1..N, y_1..N, u_1..N,
         p_mag, p_psi, U, WL, conserved, each value as %.17g. p_psi is nan
-        where undefined.
+        where undefined. The rows are formatted in blocks by _csv_block.
         """
         agents = range(1, self.n + 1)
         header = (
@@ -82,15 +82,16 @@ class TrajectoryRecord:
             + [f"{col}_{k}" for col in ("theta", "x", "y", "u") for k in agents]
             + ["p_mag", "p_psi", "U", "WL", "conserved"]
         )
-        table = np.column_stack((
+        columns = (
             self.times, self.theta, self.positions[:, :, 0], self.positions[:, :, 1],
             self.controls, self.p_mag, self.p_psi, self.potential,
             self.graph_potential, self.conserved,
-        ))
-        row = ",".join([CSV_FLOAT_FMT] * len(header)) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(row % tuple(values.tolist()) for values in table)
+        )
+        rows = max(1, _CSV_BLOCK // len(header))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for lo in range(0, self.sample_count, rows):
+                fh.write(_csv_block(np.column_stack([col[lo:lo + rows] for col in columns])))
 
 
 @dataclass(frozen=True)
@@ -214,3 +215,176 @@ def _finite(values):
     for bad in filterfalse(math.isfinite, values):
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     return values
+
+
+# Values _csv_block formats at once: to_csv's memory stays bounded, and
+# smaller blocks pay numpy's fixed cost a call on too few values
+# (BENCH_csv_writer.json).
+_CSV_BLOCK = 4096
+
+# _csv_block's digits. For a finite nonzero x, y = |x| 10^s lies in
+# [1e16, 1e17) and rint(y) is the 17 digits %.17g writes. 64y is one long
+# double product of |x| and a correctly rounded 64e^s, within 64 times half
+# an ulp of y (2^-8 at a 64-bit significand) plus the rounding of 10^s
+# (1e17 * 2^-64): 0.0094 in all, below 1/64, so floor(64y) rounds y exactly
+# unless y lies within 1/64 of a tie. Where long double cannot give that
+# bound (or reach 64e342, about 2^1142), every value takes the template.
+_LD = np.finfo(np.longdouble)
+_LONG_DIGITS = bool(_LD.maxexp > 1150
+                    and 2.0 ** (55 - _LD.nmant) + 1e17 * 2.0 ** (-1 - _LD.nmant) < 1 / 64)
+_S_MIN, _S_MAX = -294, 342  # s of every double, past one correction and a carry
+_E_MIN = 16 - _S_MAX  # the lowest decimal exponent E = 16 - s of a first digit
+_Y_LO, _Y_HI = 64 * 10**16, 64 * 10**17  # 64y at the ends of [1e16, 1e17)
+_POW64 = (np.array([f"64e{s}" for s in range(_S_MIN, _S_MAX + 1)]).astype(np.longdouble)
+          if _LONG_DIGITS else None)
+# The byte rows _text lays a value out on, in the order they are written.
+_SIGN, _PREFIX, _HEAD, _MANTISSA = 0, slice(1, 6), 6, slice(7, 24)
+_EXPONENT, _SEP = slice(24, 29), 29  # a value's text takes the rows before _SEP
+_WIDTH = _SEP + 2  # and ',' or CR, then NUL or LF
+_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]  # the mantissa rows' places 1-17
+# the text of 0, -0, nan, inf and -inf, in the order _csv_block codes them
+_SPECIAL = np.array([b"0", b"-0", b"nan", b"inf", b"-inf"], f"S{_SEP}")
+_SPECIAL = _SPECIAL.view(np.uint8).reshape(5, -1)
+
+
+def _affixes():
+    """Per decimal exponent E from _E_MIN: the bytes of %g's 0.000 prefix and
+    of its e+XX exponent (hundreds NUL below 100), the count of digits before
+    the point, and the place among digits 1-17 where the point goes (17:
+    none there)."""
+    e = np.arange(_E_MIN, 16 - _S_MIN + 1)
+    fixed, below = (-4 <= e) & (e < 17), (-4 <= e) & (e < 0)
+    mag = np.abs(e)
+    exponent = [np.full(e.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                np.where(mag < 100, 0, 48 + mag // 100), 48 + mag // 10 % 10, 48 + mag % 10]
+    affix = np.vstack((below * ord("0"), below * ord("."),
+                       (below & (np.arange(1, 4)[:, None] <= -1 - e)) * ord("0"),
+                       np.where(fixed, 0, exponent))).astype(np.uint8)
+    whole = np.where(fixed, np.maximum(e + 1, 0), 1)
+    return affix, whole.astype(np.uint8), np.where(below, 17, whole).astype(np.uint8)
+
+
+def _groups():
+    """The 4 ASCII digits of each of 0..9999 in the bytes of one uint32; and
+    for group k of 4 among digits 1-16 (row k), the place after the group's
+    last nonzero digit, counted from digit 0 of the 17 (0 where all 4 are
+    zero)."""
+    digits = np.arange(10000, dtype=np.int16) // np.array([[1000], [100], [10], [1]], np.int16) % 10
+    ascii4 = np.ascontiguousarray(48 + digits.T, dtype=np.uint8).view(np.uint32).ravel()
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    last = np.where(last > 0, last + np.array([[1], [5], [9], [13]], np.uint8), 0)
+    return ascii4, last.astype(np.uint8)
+
+
+_AFFIX, _WHOLE, _POINT = _affixes()
+_DIGITS4, _LAST4 = _groups()
+_GROUP_ROWS = 10000 * np.arange(4)[:, None]  # where row k of _LAST4 starts, flattened
+
+
+def _csv_block(table: np.ndarray) -> bytes:
+    """The CSV bytes of table's rows: each value as CSV_FLOAT_FMT writes it,
+    ',' between values and CRLF after each row.
+
+    The digits of the finite nonzero values come from _digits and their text
+    from _text, column-major; its rows are transposed once into one row of
+    _WIDTH bytes a value and the NULs dropped. Zeros, nan and +-inf are
+    written from _SPECIAL, and values whose digits are not exact take
+    CSV_FLOAT_FMT itself, as every value does where _LONG_DIGITS is false.
+    """
+    if not _LONG_DIGITS:
+        row = ",".join([CSV_FLOAT_FMT] * table.shape[1]) + "\r\n"
+        return "".join([row % tuple(cells) for cells in table.tolist()]).encode()
+    x = np.asarray(table, dtype=np.float64).ravel()
+    finite = np.isfinite(x)
+    finite &= x != 0
+    s, q, exact = _digits(np.where(finite, np.abs(x), 2.0))  # 2: any value with exact digits
+    fallback = np.flatnonzero(~exact)
+    q[fallback] = _Y_LO + 32  # the digits of 1e16 until the template's text replaces them
+    values = np.ascontiguousarray(_text(x, s, q, table.shape[1]).T)
+    special = np.flatnonzero(~finite)
+    if special.size:
+        v = x[special]
+        values[special, :_SEP] = _SPECIAL[np.where(np.isnan(v), 2, (v != 0) * 3 + np.signbit(v))]
+    if fallback.size:
+        v = x[fallback].tolist()
+        texts = (",".join([CSV_FLOAT_FMT] * len(v)) % tuple(v)).encode().split(b",")
+        values[fallback, :_SEP] = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
+    return values.tobytes().translate(None, b"\0")
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """floor(64 a 10^s) for positive doubles a, as one long double product."""
+    return (a.astype(np.longdouble) * _POW64[s - _S_MIN]).astype(np.int64)
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, q, exact) for positive finite doubles a: q = floor(64y) of
+    y = a 10^s in [1e16, 1e17), and whether (q + 31) // 64 is rint(y), the
+    17 digits of a. It is not where y lies within 1/64 of a tie (q % 64 in
+    {31, 32}) or outside [1e16, 1e17) after one correction of s. Where y
+    rounds up to 1e17, q and s are those of 1e16 at s - 1. A y just above
+    1e16 whose exact value lies below it gets the right digits: at s + 1,
+    10y would round up to 1e17."""
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)  # off by one near a power of 10
+    q = _scaled(a, s)
+    exact = ((q + 33) & 63) >= 2
+    odd = np.flatnonzero((q < _Y_LO) | (q >= _Y_HI - 31))  # s missed, or y rounds up to 1e17
+    if odd.size:
+        s_odd = s[odd] + (q[odd] < _Y_LO) - (q[odd] >= _Y_HI)
+        q_odd = _scaled(a[odd], s_odd)
+        exact[odd] = (q_odd >= _Y_LO) & (q_odd < _Y_HI) & (((q_odd + 33) & 63) >= 2)
+        carry = q_odd >= _Y_HI - 31
+        q[odd] = np.where(carry, _Y_LO + 32, q_odd)
+        s[odd] = s_odd - carry
+    return s, q, exact
+
+
+def _text(x: np.ndarray, s: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
+    """The text of the values x, in rows of width values, as _WIDTH rows of
+    x.size bytes: one row per byte position (_SIGN .. _SEP + 1), one column
+    per value, NUL where a value has no byte. s and q = floor(64y) are
+    _digits'.
+
+    It follows %g's rules for the 17 significant digits d0..d16 = rint(y)
+    and the decimal exponent E = 16 - s of d0: fixed notation for
+    -4 <= E < 17, after the prefix 0.000 below 1; else d0.d1..d16 and e+XX.
+    Trailing zeros after the point are dropped, and a bare point.
+    """
+    n = x.size
+    d = (q + 31) >> 6
+    top = d // 10**8
+    low = (d - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    d0 = top // 10**8
+    groups = np.empty((4, n), np.int32)  # digits 1-4, 5-8, 9-12 and 13-16
+    np.divmod(top - d0 * 10**8, 10**4, out=(groups[0], groups[1]))
+    np.divmod(low, 10**4, out=(groups[2], groups[3]))
+
+    e = 16 - _E_MIN - s  # the index of E in the _affixes tables
+    digits = np.empty((18, n), np.uint8)  # d0..d16 as ASCII, then a NUL
+    np.add(d0, 48, out=digits[0], casting="unsafe")
+    digits[1:17].reshape(4, 4, n)[:] = (
+        np.take(_DIGITS4, groups).view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1))
+    digits[17] = 0
+    # the digits before the point, or up to the last nonzero one
+    kept = np.maximum(np.take(_WHOLE, e), np.take(_LAST4, groups + _GROUP_ROWS).max(axis=0))
+    digits[1:17] *= _PLACES[:16] < kept
+
+    text = np.empty((_WIDTH, n), np.uint8)
+    np.multiply(np.signbit(x), ord("-"), out=text[_SIGN], casting="unsafe")
+    np.take(_AFFIX[:5], e, axis=1, out=text[_PREFIX])
+    text[_HEAD] = digits[0]
+    # the mantissa's place p holds digit p before the point's place, digit
+    # p - 1 after it, and at it the point where digits follow, else NUL
+    point = np.take(_POINT, e)
+    mantissa = text[_MANTISSA]
+    np.subtract(digits[1:], digits[:17], out=mantissa)
+    mantissa *= _PLACES < point
+    mantissa += digits[:17]
+    mantissa[point - 1, np.arange(n)] = (kept > point) * np.uint8(ord("."))
+    np.take(_AFFIX[5:], e, axis=1, out=text[_EXPONENT])
+    text[_SEP] = ord(",")
+    text[_SEP, width - 1::width] = ord("\r")
+    text[_SEP + 1] = 0
+    text[_SEP + 1, width - 1::width] = ord("\n")
+    return text

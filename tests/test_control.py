@@ -204,6 +204,29 @@ class TestLimited:
             control_limited([0.0, 1.0, 2.0, 3.0], -np.ones(4), g)
 
 
+class TestNonFiniteOmega0:
+    """Both command functions reject a non-finite omega0 with the message
+    SimulationConfig gives, where they returned a row of nan or inf."""
+
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf])
+    def test_all_to_all(self, omega0):
+        with pytest.raises(ValueError, match=f"^omega0 must be finite, got {omega0!r}$"):
+            control_all_to_all([0.1, 0.5], [-1.0, -2.0], omega0)
+
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf])
+    def test_limited(self, omega0):
+        with pytest.raises(ValueError, match=f"^omega0 must be finite, got {omega0!r}$"):
+            control_limited([0.1, 0.5, 0.9], [-1.0, -2.0, -3.0], ring_graph(3), omega0)
+
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf])
+    def test_same_message_as_the_config(self, omega0):
+        with pytest.raises(ValueError) as config_error:
+            SimulationConfig(n=2, theta0=[0.1, 0.5], gains=[-1.0, -2.0], omega0=omega0)
+        with pytest.raises(ValueError) as command_error:
+            control_all_to_all([0.1, 0.5], [-1.0, -2.0], omega0)
+        assert str(command_error.value) == str(config_error.value)
+
+
 class TestSaturate:
     """Clipping lives in the closed loop: each recorded command is the law's
     command clipped to [-u_max, u_max], flagged only where clipping changed it."""

@@ -586,6 +586,18 @@ def test_heading_spread_examples():
     )
 
 
+def test_heading_spread_of_no_heading_is_a_value_error():
+    with pytest.raises(ValueError, match="empty theta"):
+        heading_spread([])
+    with pytest.raises(ValueError, match="empty theta"):
+        heading_spread(np.empty((0,)))
+
+
+def test_heading_spread_of_one_or_a_non_finite_heading():
+    assert heading_spread([0.0]) == 0.0
+    assert np.isnan(heading_spread([np.nan]))
+
+
 def pairwise_spread(theta):
     """The O(n^2) definition: max over all pairs of |wrap(theta_j - theta_k)|."""
     th = np.asarray(theta, dtype=float)

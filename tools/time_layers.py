@@ -21,6 +21,9 @@ recorded.
              record, from the run's recorded views, given z = e^{i theta} and
              the edge products as _outcome passes them
   csv        TrajectoryRecord.to_csv of that record
+  simulate   one whole dynamics.simulate of the run: its steps, the observer
+             and the record, timed here next to the step so that a step and a
+             run are compared within one session
   geometry   angles.heading_spread plus analysis.rotated_frame of the headings
   geometry_even
              analysis.rotated_frame of n evenly spread headings, where every
@@ -134,6 +137,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         "outcome": lambda: dynamics._outcome(cfg, n_steps, run, 0),
         "derive": derive,
         "csv": lambda: traj.to_csv(csv_path),
+        "simulate": lambda: dynamics.simulate(cfg),
         "geometry": geometry,
         "geometry_even": lambda: analysis.rotated_frame(even),
     }, unit_ways(y0[0]), {"observer_block_steps": slots, "samples": traj.sample_count}
