@@ -26,7 +26,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .control import GainVector, as_gains
-from .phase import _expi, alignment_potential_grad, as_heading_vector, order_parameter
+from .phase import _expi, _grad, _order_parameter, as_heading_vector
 
 
 class NonAcuteConeError(ValueError):
@@ -53,13 +53,20 @@ def rotated_frame(theta0) -> RotatedFrame:
     The heading minimizing the maximum relative angle (taken in [0, 2*pi))
     wins, ties going to the smallest index. Only a heading that ends a
     largest circular gap between the sorted headings (within 1e-12 rad, far
-    above rounding) can win, so only those are tried, in O(1) each. Initial
-    headings must lie in the open interval (-pi, pi).
+    above rounding) can win, so only those are tried, in O(1) each. Equal
+    headings leave gaps of 0, never near the largest (at least 2*pi/n), so
+    each candidate starts a run of equal headings; the sort is stable where
+    headings repeat, so that the run starts at the first index holding its
+    value. Initial headings must lie in the open interval (-pi, pi).
     """
     th = as_heading_vector(theta0)
     if np.any(th <= -np.pi) or np.any(th >= np.pi):
         raise ValueError("initial headings must lie in the open interval (-pi, pi)")
-    values, first = np.unique(th, return_index=True)
+    order = np.argsort(th)  # unstable, and several times faster than a stable one
+    values = th[order]
+    if np.any(values[1:] == values[:-1]):
+        order = np.argsort(th, kind="stable")
+        values = th[order]
     gaps = np.diff(values, append=values[0] + TWO_PI)  # gaps[i] ends at values[i+1]
     ends = (np.flatnonzero(gaps >= gaps.max() - 1e-12) + 1) % values.size
     if ends.size > 1:
@@ -68,7 +75,7 @@ def rotated_frame(theta0) -> RotatedFrame:
         v = values[ends]
         spans = np.maximum(np.mod(values[ends - 1] - v, TWO_PI), np.mod(values[-1] - v, TWO_PI))
         ends = ends[spans == spans.min()]
-    ref = first[ends].min()
+    ref = order[ends].min()
     rel = np.mod(th - th[ref], TWO_PI)
     span = float(rel.max())
     return RotatedFrame(theta_R=float(th[ref]), theta_hat0=rel, span=span, acute=bool(span < np.pi))
@@ -409,12 +416,13 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     time and memory; no N x N matrix is built.
     """
     th = as_heading_vector(theta)
-    g = alignment_potential_grad(th)
+    z = _expi(th)  # the gradient, the order parameter and the witness all start from it
+    g = _grad(z, None)
     if np.max(np.abs(g)) > grad_tol:
         raise ValueError(
             f"configuration is not critical: max |gradient| = {np.max(np.abs(g)):.3e}"
         )
-    op = order_parameter(th)
+    op = _order_parameter(z)
     if op.magnitude < 1e-8:
         return CriticalPointConfig(None, op.magnitude, CriticalKind.BALANCED_MAXIMUM)
     rel = wrap_angle(th - op.mean_phase)
@@ -425,7 +433,7 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     aligned = np.flatnonzero(~opposed)
     if aligned.size < 2:
         raise ValueError("inconsistent critical configuration: majority block too small")
-    witness = _saddle_witness(_expi(th), op.as_complex, aligned[:2])
+    witness = _saddle_witness(z, op.as_complex, aligned[:2])
     if witness >= 0.0:
         raise ValueError("saddle witness failed; configuration is not a clean saddle")
     return CriticalPointConfig(m, op.magnitude, CriticalKind.SADDLE)

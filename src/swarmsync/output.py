@@ -151,8 +151,10 @@ def json_text(obj) -> str:
     CLI prints: the bytes that json.dumps writes with indent=2,
     sort_keys=True and allow_nan=False, errors included, so a NaN or infinity
     raises ValueError (the CLI's error JSON). Number lists are encoded in
-    bulk, where json's indented encoder steps a generator per element. There
-    is no cycle check: the package builds no cyclic document."""
+    bulk, where json's indented encoder steps a generator per element, and
+    each distinct float or float row of a long list is formatted once
+    (_each_once). There is no cycle check: the package builds no cyclic
+    document."""
     return _json(obj, "\n")
 
 
@@ -173,9 +175,9 @@ def _json(o, nl: str) -> str:
             return "[]"
         kinds = set(map(type, o))
         if all(issubclass(kind, float) for kind in kinds):
-            body = sep.join(map(float.__repr__, _finite(o)))
-        elif kinds <= {list, tuple} and (row := _row_template(o, inner)):
-            body = sep.join(map(row.__mod__, map(tuple, o)))
+            body = sep.join(_each_once(float.__repr__, _finite(o), o))
+        elif kinds <= {list, tuple} and (rows := _row_texts(o, inner)) is not None:
+            body = sep.join(rows)
         else:
             body = sep.join([_json(v, inner) for v in o])
         return f"[{inner}{body}{nl}]"
@@ -195,19 +197,59 @@ def _json_key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _row_template(rows, nl: str) -> str | None:
-    """The %-template of one of rows, when they share a nonzero length and
-    their entries are all floats or all ints (exact types, whose %r and %d
-    are json's float.__repr__ and int.__repr__); else None."""
+def _row_texts(rows, nl: str):
+    """The JSON of each of rows, when they share a nonzero length and their
+    entries are all floats or all ints (exact types, whose %r and %d are
+    json's float.__repr__ and int.__repr__), formatted by one %-template,
+    each distinct float row once; else None."""
     cells = list(chain.from_iterable(rows))
     kinds = set(map(type, cells))
     if len(set(map(len, rows))) != 1 or kinds not in ({float}, {int}):
         return None
-    if kinds == {float}:
-        _finite(cells)
     inner = nl + "  "
     fields = f",{inner}".join(["%r" if float in kinds else "%d"] * len(rows[0]))
-    return f"[{inner}{fields}{nl}]"
+    row = f"[{inner}{fields}{nl}]".__mod__
+    rows = list(map(tuple, rows))
+    return map(row, rows) if kinds == {int} else _each_once(row, rows, _finite(cells))
+
+
+# From this many values on, _each_once sorts a list's values to format each
+# distinct one once; below it, formatting every value costs less than the
+# sort. The 2-element intervals of a reachability report stay below it.
+_DISTINCT_MIN = 64
+
+
+def _each_once(fmt, values, cells):
+    """fmt(v) for each of values, fmt called once per distinct value. cells
+    are the floats of values in order (a float is its own cell, a row its
+    entries), and two values are the same where their cells have the same
+    bit patterns: -0.0 and 0.0, equal as floats, differ, as their repr do.
+    Below _DISTINCT_MIN values, or where no two are the same, fmt is called
+    on each."""
+    m = len(values)
+    if m < _DISTINCT_MIN:
+        return map(fmt, values)
+    bits = np.array(cells, dtype=np.float64).view(np.int64).reshape(m, -1)
+    rank, first = _ranks(bits[:, 0])
+    for column in bits.T[1:]:  # rows ranked by their columns so far: both ranks are below m
+        rank, first = _ranks(rank * m + _ranks(column)[0])
+    if first.size == m:
+        return map(fmt, values)
+    texts = np.array([fmt(values[i]) for i in first.tolist()], dtype=object)
+    return texts[rank].tolist()
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of each of the int64 keys among the distinct keys, and for
+    each rank the index of one key of it."""
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.empty(keys.size, bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(keys.size, np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
 
 def _finite(values):

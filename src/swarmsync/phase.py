@@ -118,8 +118,12 @@ class OrderParameter:
 
 def order_parameter(theta) -> OrderParameter:
     """p = (1/N) sum_k exp(i*theta_k), with magnitude in [0, 1]."""
-    th = as_heading_vector(theta)
-    p = complex(_expi(th).mean())
+    return _order_parameter(_expi(as_heading_vector(theta)))
+
+
+def _order_parameter(z: np.ndarray) -> OrderParameter:
+    """order_parameter from the unit heading vectors z = e^{i theta}."""
+    p = complex(z.mean())
     mag = abs(p)
     phase = float(np.angle(p)) if mag > ZERO_MAGNITUDE_TOL else None
     return OrderParameter(magnitude=mag, mean_phase=phase, as_complex=p)

@@ -139,6 +139,60 @@ class TestRotatedFrame:
             if th.size >= 2:
                 check(th)
 
+    def test_equals_the_stable_unique_search_exactly(self):
+        """Against the gap search over np.unique(..., return_index=True),
+        whose stable argsort gives each value its first index: same theta_R,
+        theta_hat0 and span to the bit, over duplicates, +-0.0, evenly spread
+        headings for n from 3 to 2,000 (every gap ties), gaps tied within
+        1e-12 and acute configs of 3,000 headings."""
+
+        def unique_search(th):
+            values, first = np.unique(th, return_index=True)
+            gaps = np.diff(values, append=values[0] + 2.0 * np.pi)
+            ends = (np.flatnonzero(gaps >= gaps.max() - 1e-12) + 1) % values.size
+            if ends.size > 1:
+                v = values[ends]
+                spans = np.maximum(np.mod(values[ends - 1] - v, 2.0 * np.pi),
+                                   np.mod(values[-1] - v, 2.0 * np.pi))
+                ends = ends[spans == spans.min()]
+            ref = first[ends].min()
+            rel = np.mod(th - th[ref], 2.0 * np.pi)
+            return float(th[ref]), rel, float(rel.max())
+
+        def check(th):
+            frame = rotated_frame(th)
+            ref, rel, span = unique_search(th)
+            assert np.float64(frame.theta_R).tobytes() == np.float64(ref).tobytes(), repr(th)
+            assert frame.theta_hat0.tobytes() == rel.tobytes(), repr(th)
+            assert frame.span == span, repr(th)
+
+        rng = np.random.default_rng(2718)
+        for n in list(range(3, 40)) + [64, 333, 1000, 2000]:
+            even = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+            check(even)
+            check(rng.permutation(even))
+        for case in range(600):
+            n = int(rng.integers(2, 40))
+            kind = case % 4
+            if kind == 0:  # duplicates, and zeros of both signs
+                th = rng.choice(np.concatenate([[0.0, -0.0], rng.uniform(-3.1, 3.1, 3)]), n)
+            elif kind == 1:  # near-ties: gaps equal to within 1e-12
+                th = (np.arange(n) * (2.0 * np.pi / n) - 3.0
+                      + rng.uniform(-4e-13, 4e-13, n) * rng.integers(0, 2))
+            elif kind == 2:  # two gaps tied within 1e-12 across the +-pi cut
+                a = rng.uniform(0.1, 1.0)
+                th = rng.permutation(np.array([-a, a, np.pi - a + rng.uniform(-4e-13, 4e-13),
+                                               -np.pi + a, 0.0, -0.0])[:max(n, 2)])
+            else:
+                th, _ = random_acute_headings(rng, n)
+            th = np.asarray(th)[(th > -np.pi) & (th < np.pi)]
+            if th.size >= 2:
+                check(th)
+        for _ in range(5):
+            th, _ = random_acute_headings(rng, 3000, (1.0, 2.5))
+            check(th)
+            check(np.round(th, 2))  # many headings share a value
+
 
 class TestPredictDirection:
     def test_set1_reference_value(self, six_theta0):

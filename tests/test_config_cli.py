@@ -553,6 +553,20 @@ def command_outputs(tmp_path, capsys) -> dict[str, list[str]]:
     return texts
 
 
+def synthesize_300_signed_zeros():
+    """A seeded acute config of 300 agents whose positions0 rows are each
+    [0.0, -0.0], [-0.0, 0.0] or [0.0, 0.0], and a synthesize command line
+    with a target inside its arc: in the document synthesize writes, 298 of
+    the gains are equal and the rows repeat with their signed zeros."""
+    rng = np.random.default_rng(2027)
+    hat = np.concatenate([[0.0, 1.7], rng.uniform(0.0, 1.7, 298)])
+    zeros = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]
+    doc = {"n": 300, "theta0_deg": np.degrees(hat - 0.6).tolist(), "gains": "set2",
+           "positions0": [zeros[i] for i in rng.integers(0, 3, 300)]}
+    target = repr(float(np.degrees(0.55)))
+    return doc, ["synthesize", "--config", "cfg.json", "--target-deg", target, "--out", "out"]
+
+
 # name: (config document, command line with the config as cfg.json), each
 # run in a fresh directory, writing under its relative directory "out"
 PINNED_COMMANDS = {
@@ -569,6 +583,7 @@ PINNED_COMMANDS = {
                                         ["simulate", "--config", "cfg.json", "--out", "out"]),
     "synthesize": (SIX_DOC, ["synthesize", "--config", "cfg.json", "--target-deg", "10",
                              "--out", "out"]),
+    "synthesize-300-signed-zeros": synthesize_300_signed_zeros(),
 }
 
 

@@ -234,7 +234,8 @@ class TestLayerTimer:
         doc = json.loads(proc.stdout)
         assert (doc["n"], doc["topology"], doc["samples"]) == (8, topology, 11)
         assert set(doc["layers_us"]) == {"unit", "kernel", "rhs", "step", "observer", "outcome",
-                                         "derive", "csv", "simulate", "geometry", "geometry_even"}
+                                         "derive", "csv", "simulate", "geometry", "geometry_even",
+                                         "json"}
         assert set(doc["unit_ways_us"]) == {"exp", "cos_sin"}
         assert all(layer["median"] > 0.0 and layer["calls"] >= 1
                    for layer in [*doc["layers_us"].values(), *doc["unit_ways_us"].values()])

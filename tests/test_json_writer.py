@@ -173,6 +173,40 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _json_text(doc)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 63, 64, 65, 300])
+    def test_repeated_values_match(self, size):
+        """Lists long enough that each distinct value is formatted once, and
+        shorter ones: equal values, -0.0 and 0.0 in both orders (equal as
+        floats, written apart), and equal and signed-zero rows."""
+        rng = np.random.default_rng(size)
+        zeros = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]
+        for doc in (
+            [-41921.8905899071] * size,
+            [np.float64(0.1)] * size,
+            [-0.0, 0.0] * size,
+            [0.0, -0.0] * size,
+            [0.0] * size + [-0.0],
+            [-0.0] * size + [0.0],
+            rng.choice([0.1, -0.0, 0.0, 1e22, 5e-324], size).tolist(),
+            [[0.0, 0.0]] * size,
+            [zeros[i] for i in rng.integers(0, 4, size)],
+            [(1.5, -0.0, 2.5)] * size + [(1.5, 0.0, 2.5)],
+            [[1.5, 2.5], [2.5, 1.5]] * size,  # equal cells, rows apart
+            {"gains": [-2.0] * size, "positions0": [[-0.0, 0.0]] * size,
+             "theta0_deg": rng.uniform(-90.0, 90.0, size).tolist()},
+        ):
+            assert_same(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=repr)
+    def test_repeated_lists_with_a_non_finite_value_raise_as_json_does(self, bad):
+        for doc in ([1.0] * 100 + [bad] + [1.0] * 100, [bad] * 100, [[0.0, 1.0]] * 100 + [[bad, 0.0]],
+                    [1.0, math.inf] + [bad] * 100, [-0.0, 0.0] * 50 + [bad]):
+            assert_same(doc)
+            with pytest.raises(ValueError) as caught:
+                _json_text(doc)
+            first = next(v for v in map(float, np.ravel(doc)) if not math.isfinite(v))
+            assert str(caught.value).endswith(f": {first!r}")
+
     def test_error_is_the_first_in_key_order(self):
         """Of several bad values, the one json meets first is named."""
         doc = {"b": [math.inf], "a": {"y": np.int64(1), "x": [1.0, -math.inf]}}

@@ -28,6 +28,10 @@ recorded.
   geometry_even
              analysis.rotated_frame of n evenly spread headings, where every
              circular gap ties and each tied end is a candidate reference
+  json       output.json_text of the document synthesize writes for the
+             run's config, its gains from analysis.synthesize_gains at the
+             mean heading: n headings, n gains of which most are equal, and
+             n positions0 rows of [0.0, 0.0]
 
 A repeat calls a layer until ROUND_S seconds have passed; the output gives
 each layer's median and quartiles over the repeats in microseconds a call,
@@ -41,6 +45,7 @@ from.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -53,7 +58,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from swarmsync import analysis, dynamics, output, phase  # noqa: E402
+from swarmsync import analysis, config, dynamics, output, phase  # noqa: E402
 from swarmsync.angles import heading_spread  # noqa: E402
 from swarmsync.control import GainVector  # noqa: E402
 from swarmsync.topology import ring_graph  # noqa: E402
@@ -127,6 +132,8 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         analysis.rotated_frame(cfg.theta0)
 
     even = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+    gains = analysis.synthesize_gains(cfg.theta0, float(np.mean(cfg.theta0)))
+    synthesized = config.dump_config(dataclasses.replace(cfg, gains=gains))
 
     return {
         "unit": unit_vectors(y0[0]),
@@ -140,6 +147,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         "simulate": lambda: dynamics.simulate(cfg),
         "geometry": geometry,
         "geometry_even": lambda: analysis.rotated_frame(even),
+        "json": lambda: output.json_text(synthesized),
     }, unit_ways(y0[0]), {"observer_block_steps": slots, "samples": traj.sample_count}
 
 
