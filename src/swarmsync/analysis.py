@@ -97,13 +97,12 @@ def predict_direction(theta0, gains) -> float:
 def _prediction(frame: RotatedFrame, gains) -> float:
     """predict_direction on a frame already computed and checked acute."""
     k = as_gains(gains)
-    if np.any(k > 0.0):
+    if not k.all_negative:
         raise ValueError("all gains must be negative for this operation")
-    if k.size != frame.theta_hat0.size:
+    if len(k) != frame.theta_hat0.size:
         raise ValueError("gains length does not match headings")
-    # s/K, s the power of two at min|K|: exact, and |s/K| <= 1 so the sum cannot overflow
-    inv = np.ldexp(1.0, np.frexp(np.abs(k).min())[1] - 1) / k
-    return float(wrap_angle(float((frame.theta_hat0 @ inv) / inv.sum()) + frame.theta_R))
+    w = k.weights
+    return float(wrap_angle(float((frame.theta_hat0 @ w) / w.sum()) + frame.theta_R))
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def two_agent_direction(theta0, gains) -> float:
     th = as_heading_vector(theta0)
     if th.size != 2:
         raise ValueError("two_agent_direction needs exactly 2 headings")
-    k = as_gains(gains)
+    k = as_gains(gains).gains
     if k.size != 2:
         raise ValueError("two_agent_direction needs exactly 2 gains")
     k = k / np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1)  # exact: K_1 + K_2 cannot overflow
@@ -415,13 +414,13 @@ def classify_critical_point(theta, grad_tol: float = 1e-8) -> CriticalPointConfi
     witness is H[a,a] + H[b,b] - 2 H[a,b]. The classification is O(N) in
     time and memory; no N x N matrix is built.
     """
+    if not 0.0 <= grad_tol < np.inf:
+        raise ValueError(f"grad_tol must be a finite non-negative number, got {grad_tol!r}")
     th = as_heading_vector(theta)
     z = _expi(th)  # the gradient, the order parameter and the witness all start from it
     g = _grad(z, None)
     if np.max(np.abs(g)) > grad_tol:
-        raise ValueError(
-            f"configuration is not critical: max |gradient| = {np.max(np.abs(g)):.3e}"
-        )
+        raise ValueError(f"configuration is not critical: max |gradient| = {np.max(np.abs(g)):.3e}")
     op = _order_parameter(z)
     if op.magnitude < 1e-8:
         return CriticalPointConfig(None, op.magnitude, CriticalKind.BALANCED_MAXIMUM)

@@ -38,12 +38,12 @@ def heading_spread(theta) -> float:
     if th.size == 0:
         raise ValueError("heading_spread needs at least one heading, got an empty theta")
     th = th[np.append(True, th[1:] != th[:-1])]  # distinct, ascending
-    if not np.all(np.isfinite(th)):
-        return float("nan")
+    if not np.isfinite(span := float(th[-1]) - float(th[0])):  # non-finite heading, or overflow
+        return float("nan")  # as some difference in the expression above is then nan or inf
     phi = np.mod(th, TWO_PI)
     order = np.argsort(phi, kind="stable")  # ties in phi keep theta order
     m = order.size
-    reach = min(m, 2 + int((th[-1] - th[0]) // TWO_PI))
+    reach = min(m, 2 + int(span // TWO_PI))
     side = np.searchsorted(phi[order], np.mod(phi + np.pi, TWO_PI))
     cand = order[(side[:, None] + np.arange(-reach, reach)) % m]
     return float(np.max(np.abs(wrap_angle(th[cand] - th[:, None]))))

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .phase import _expi, _grad, as_heading_vector
-from .topology import InteractionGraph, edge_arrays, is_connected
+from .topology import InteractionGraph, _check_integer, edge_arrays, is_connected
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,21 +61,26 @@ class GainVector:
     def all_negative(self) -> bool:
         return bool(np.all(self.gains < 0.0))
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The 1/K_k weights, cached: s/K_k = s fl(1/K_k) in [-1, 1], s the power of 2 at min|K|."""
+        w = np.ldexp(1.0, np.frexp(np.abs(self.gains).min())[1] - 1) / self.gains
+        w.setflags(write=False)
+        return w
+
     @property
     def sync_stable(self) -> bool:
-        """Sync is linearly stable (mean-field, or any connected graph) iff all gains
-        are negative, or exactly one is positive and sum_k 1/K_k > 0."""
+        """Sync is linearly stable (mean-field, or any connected graph) iff all gains are
+        negative, or exactly one is positive and sum_k 1/K_k > 0, summed as min|K|/K_k in
+        [-1, 1], not as the weights: exactly +-1 at min|K|, where fl(1/K_k) of a pair can cancel."""
         k = self.gains
         positive = np.count_nonzero(k > 0.0)
-        # min|K|/K_k has the sign of 1/K_k and lies in [-1, 1], so nothing overflows
         return bool(positive == 0 or (positive == 1 and np.sum(np.abs(k).min() / k) > 0.0))
 
 
-def as_gains(gains) -> np.ndarray:
-    """Accept a GainVector or array-like; return the validated gain array."""
-    if isinstance(gains, GainVector):
-        return gains.gains
-    return GainVector(np.asarray(gains, dtype=float)).gains
+def as_gains(gains) -> GainVector:
+    """A GainVector as given, or validated from array-like gains."""
+    return gains if isinstance(gains, GainVector) else GainVector(np.asarray(gains, dtype=float))
 
 
 def _command(theta, gains, omega0: float, g: InteractionGraph | None) -> np.ndarray:
@@ -82,7 +88,7 @@ def _command(theta, gains, omega0: float, g: InteractionGraph | None) -> np.ndar
     A non-finite omega0 raises SimulationConfig's ValueError."""
     if not math.isfinite(omega0):
         raise ValueError(f"omega0 must be finite, got {omega0!r}")
-    th, k = as_heading_vector(theta), as_gains(gains)
+    th, k = as_heading_vector(theta), as_gains(gains).gains
     if k.size != th.size:
         raise ValueError("gains length does not match headings")
     if g is not None and g.n != th.size:
@@ -108,6 +114,7 @@ def gain_cap(n: int, u_max: float) -> float:
     |u_k| <= ((N-1)/N)|K_k| for the mean-field law, so any |K_k| <=
     (N/(N-1))*u_max guarantees |u_k| <= u_max without clipping.
     """
+    _check_integer("n", n)
     if n < 2:
         raise ValueError("gain cap needs n >= 2")
     if not u_max > 0.0:
@@ -122,15 +129,9 @@ def named_gain_set(name: str, n: int) -> np.ndarray:
     set3: K_1 = 0.5, K_k = -k for k >= 2 (mixed signs, negative sum)
     set4: K_k = -0.1/k    (all within gain_cap(n, 0.1))
     """
+    _check_integer("n", n)
     ks = np.arange(1, n + 1, dtype=float)
-    if name == "set1":
-        return -ks
-    if name == "set2":
-        return -1.0 / ks
-    if name == "set3":
-        g = -ks
-        g[0] = 0.5
-        return g
-    if name == "set4":
-        return -0.1 / ks
-    raise ValueError(f"unknown gain set {name!r}; expected set1..set4")
+    sets = dict(set1=-ks, set2=-1.0 / ks, set3=np.where(ks == 1.0, 0.5, -ks), set4=-0.1 / ks)
+    if name not in sets:
+        raise ValueError(f"unknown gain set {name!r}; expected set1..set4")
+    return sets[name]

@@ -17,17 +17,17 @@ simulate. What a run writes, its record, report and files, is in output.
 
 from __future__ import annotations
 
-import numbers
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .angles import heading_spread, wrap_angle
-from .control import GainVector
+from .control import GainVector, as_gains
 from .output import ConvergenceReport, TrajectoryRecord
 from .phase import _coupling, _edge_products, _expi, _grad, _unit_vectors, as_heading_vector
-from .topology import InteractionGraph, edge_arrays, is_connected
+from .topology import InteractionGraph, _check_integer, edge_arrays, is_connected
 # Not called here: the benchmark's trace table (perfbench/measure.py) resolves
 # dynamics.laplacian, dynamics.is_connected and dynamics.heading_spread by name.
 from .topology import laplacian  # noqa: F401
@@ -91,16 +91,14 @@ class SimulationConfig:
     def __post_init__(self):
         seed = 0 if self.seed is None else self.seed
         for name, value in (("n", self.n), ("record_stride", self.record_stride), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
         if self.n < 2:
             raise ValueError("need at least 2 agents")
         th = as_heading_vector(self.theta0)
         if th.size != self.n:
             raise ValueError(f"theta0 has {th.size} entries, expected n={self.n}")
         self.theta0 = th
-        if not isinstance(self.gains, GainVector):
-            self.gains = GainVector(np.asarray(self.gains, dtype=float))
+        self.gains = as_gains(self.gains)
         if len(self.gains) != self.n:
             raise ValueError(f"gains has {len(self.gains)} entries, expected n={self.n}")
         if self.positions0 is None:
@@ -150,20 +148,20 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     return n_steps, n_samples
 
 
-def _make_rhs(kvec, omega0, edges: list, u_max: float | None, n: int, zero: bool):
-    """(angle, bind) for R runs of n agents that share u_max, one per entry of
-    edges (as phase._coupling takes them), kvec and omega0 broadcast to (R,
-    n), all one flat row. angle is the float buffer of a stage's R*n angles;
-    bind(u, z) binds phase._coupling's kernel to z once and gives the stage's
-    rhs(), which writes e^{i angle} into z (phase._unit_vectors, ``zero``
-    adding +0.0 to the angles first) and the commands into u. omega0 None
-    adds nothing (exact where _integrate passes it). The clip is np.clip's
-    maximum then minimum, called without np.clip's Python layers."""
-    runs = len(edges)
-    kvec = np.full((runs, n), kvec, dtype=float).ravel()
-    omega0 = None if omega0 is None else np.full((runs, n), omega0, dtype=float).ravel()
+def _make_rhs(laws: list, n: int, zero: bool):
+    """(angle, bind) for R runs of n agents, one per _law in laws (sharing the
+    first one's clip), all one flat row. angle is the float buffer of a
+    stage's R*n angles; bind(u, z) binds phase._coupling's kernel to z once
+    and gives the stage's rhs(), which writes e^{i angle} into z
+    (phase._unit_vectors, ``zero`` adding +0.0 to the angles first) and the
+    commands into u; unless ``zero``, zero turn rates are not added (see
+    _integrate). The clip is np.clip's maximum then minimum, called without
+    np.clip's Python layers."""
+    gains, omega0, edges, clips = zip(*laws)
+    kvec, u_max = np.concatenate(gains), clips[0]
+    omega0 = np.repeat(np.array(omega0, dtype=float), n) if zero or any(omega0) else None
     lo, hi = (np.array(b) for b in (-u_max, u_max)) if u_max is not None else (None, None)
-    angle, unit_into = _unit_vectors((runs * n,), zero)
+    angle, unit_into = _unit_vectors((len(laws) * n,), zero)
     coupling = _coupling(edges, n)
 
     def bind(u: np.ndarray, z: np.ndarray):
@@ -302,12 +300,10 @@ def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray
     return states[..., :m].reshape(*lead, runs, n), states[..., m:].reshape(*lead, runs, n, 2)
 
 
-def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, dt: float,
-               n_steps: int, stride: int):
-    """Integrate R runs of the closed loop that share u_max, dt, the step
-    count and the stride, from the joint states y0 of shape (3, R, n) (run
-    r's theta, x and y at [:, r]), with gains kvec and turn rates omega0 that
-    broadcast to (R, n) and the runs' edges as _make_rhs takes them.
+def _integrate(y0: np.ndarray, laws: list, dt: float, n_steps: int, stride: int):
+    """Integrate R runs of the closed loop under their laws (as _make_rhs takes
+    them), which share the clip limit, dt, the step count and the stride,
+    from the joint states y0 (3, R, n), run r's theta, x and y at [:, r].
 
     The runs are one flat state (see _rk4_step, _make_rhs), so a step of a
     few small runs of either law costs about one step of one run. Steps
@@ -320,7 +316,7 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     starts so, as x + y is -0.0 only if both are, and so is a stage angle
     theta + h u; only on a -0.0 heading does the sign of a zero h u show in
     it. Where some initial heading is -0.0, the rhs adds +0.0 to the stage
-    angles (see _rk4_step). Where none is and every omega0 is zero, the rhs
+    angles (see _rk4_step). Where none is and every omega0 is zero, _make_rhs
     skips adding omega0: adding +0.0 only turns a -0.0 command into +0.0,
     which neither the stage angles nor the final combine show on a heading
     that is not -0.0.
@@ -337,9 +333,7 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
     """
     _, runs, n = y0.shape
     m = runs * n
-    zero = _has_negative_zero(y0[0])
-    omega0 = omega0 if zero or np.any(omega0) else None
-    step, incr = _rk4_step(_make_rhs(kvec, omega0, edges, u_max, n, zero), dt, m)
+    step, incr = _rk4_step(_make_rhs(laws, n, _has_negative_zero(y0[0])), dt, m)
     states = np.empty((n_steps // stride + 1, 3 * m))
     slots = _block_steps(y0.nbytes, n_steps)
     block = np.empty((slots, 3 * m))
@@ -385,8 +379,8 @@ def _integrate(y0: np.ndarray, kvec, omega0, edges: list, u_max: float | None, d
 
 
 def _law(cfg: SimulationConfig):
-    """The coupling law of cfg as _integrate takes it: gains, omega0, edge
-    arrays (None for mean-field) and the clip limit (None unless saturating)."""
+    """The coupling law of cfg, derived once per run for _integrate and _outcome: gains,
+    omega0, edge arrays (None for mean-field) and the clip limit (None unless saturating)."""
     edges = None if cfg.topology is None else edge_arrays(cfg.topology)
     return cfg.gains.gains, cfg.omega0, edges, cfg.u_max if cfg.saturate else None
 
@@ -401,8 +395,7 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
         warnings.warn("interaction graph is not connected; synchronization is not guaranteed")
     theta0 = cfg.theta0
     if cfg.jitter:
-        rng = np.random.default_rng(cfg.seed)
-        theta0 = theta0 + rng.uniform(-1e-6, 1e-6, cfg.n)
+        theta0 = theta0 + np.random.default_rng(cfg.seed).uniform(-1e-6, 1e-6, cfg.n)
     return np.vstack((theta0, cfg.positions0.T), dtype=float)
 
 
@@ -410,8 +403,7 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme: the first step
     simulate() takes from this state, bit for bit."""
     y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
-    kvec, omega0, edges, u_max = _law(cfg)
-    rhs = _make_rhs(kvec, omega0, [edges], u_max, cfg.n, _has_negative_zero(y[:cfg.n]))
+    rhs = _make_rhs([_law(cfg)], cfg.n, _has_negative_zero(y[:cfg.n]))
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4_step(rhs, cfg.dt, cfg.n)[0](y, y)
     if not np.all(np.isfinite(y)):
@@ -419,12 +411,12 @@ def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])
 
 
-def _outcome(cfg: SimulationConfig, n_steps: int, run: tuple,
+def _outcome(cfg: SimulationConfig, law: tuple, n_steps: int, run: tuple,
              b: int) -> tuple[TrajectoryRecord, ConvergenceReport]:
-    """The record and report of run b of the runs that _integrate returned."""
+    """The record and report of run b, under cfg and its law, of _integrate's runs."""
     theta, positions, final, t_sync, _ = run
     theta_s, final, t_sync = theta[:, b], final[b], t_sync[b]
-    kvec, omega0, edges, u_max = _law(cfg)
+    kvec, omega0, edges, u_max = law
     # the commands the right-hand side evaluates at each sample, and where
     # clipping changed them (strictly beyond u_max); a gain near the float
     # limit overflows a command to +-inf, which the clip bounds, so numpy's
@@ -477,25 +469,23 @@ def simulate_batch(cfgs) -> list[tuple[TrajectoryRecord, ConvergenceReport]]:
     cfgs = list(cfgs)
     counts = [_step_counts(cfg) for cfg in cfgs]
     starts = [_start(cfg) for cfg in cfgs]
+    laws = [_law(cfg) for cfg in cfgs]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault((cfg.n, cfg.dt, cfg.t_max, cfg.record_stride, _law(cfg)[3]), []).append(i)
+        groups.setdefault((cfg.n, cfg.dt, cfg.t_max, cfg.record_stride, laws[i][3]), []).append(i)
     results: list = [None] * len(cfgs)
     diverged: dict[int, float] = {}
-    for (n, dt, _, stride, u_max), rows in groups.items():
+    for (n, dt, _, stride, _), rows in groups.items():
         rows.sort(key=lambda i: cfgs[i].topology is not None)  # mean-field runs first
         n_steps, n_samples = counts[rows[0]]
         # one batch records no more values than one run at the record budget
         size = max(1, RECORD_BUDGET // (n_samples * n))
         for chunk in (rows[lo:lo + size] for lo in range(0, len(rows), size)):
-            run = _integrate(
-                np.stack([starts[i] for i in chunk], axis=1),
-                np.stack([cfgs[i].gains.gains for i in chunk]),
-                np.array([[cfgs[i].omega0] for i in chunk]),
-                [_law(cfgs[i])[2] for i in chunk], u_max, dt, n_steps, stride)
+            run = _integrate(np.stack([starts[i] for i in chunk], axis=1),
+                             [laws[i] for i in chunk], dt, n_steps, stride)
             for b, i in enumerate(chunk):
                 if np.isnan(run[-1][b]):
-                    results[i] = _outcome(cfgs[i], n_steps, run, b)
+                    results[i] = _outcome(cfgs[i], laws[i], n_steps, run, b)
                 else:
                     diverged[i] = run[-1][b]
     if diverged:
@@ -511,7 +501,9 @@ def rotating_frame(traj: TrajectoryRecord, omega0: float) -> TrajectoryRecord:
     u_k - omega0. Positions are left in the inertial frame. For omega0 = 0
     this is the identity transform. The new record shares times, positions,
     saturated, gains and edges with traj, as the records of one batch
-    already share the batch's buffers.
+    already share the batch's buffers. A non-finite omega0 raises ValueError.
     """
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0!r}")
     return replace(traj, theta=traj.theta - omega0 * traj.times[:, None],
                    controls=traj.controls - omega0, omega0=traj.omega0 - omega0)

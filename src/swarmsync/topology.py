@@ -23,17 +23,16 @@ class InteractionGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        _check_integer("n", self.n)
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         canon, seen = [], set()
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
-            for v in e:  # SimulationConfig's rule, as for n; an int passes on its type alone
-                if type(v) is not int and (type(v) is bool or not isinstance(v, numbers.Integral)):
-                    raise ValueError(f"node of edge {e!r} must be an integer, got {v!r}")
+            for v in e:  # an int passes on its type alone
+                if type(v) is not int:
+                    _check_integer(f"node of edge {e!r}", v)
             j, k = int(e[0]), int(e[1])
             if j == k:
                 raise ValueError(f"self-loop on node {j} not allowed")
@@ -80,6 +79,12 @@ class InteractionGraph:
         return dst[src == k].tolist()
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError unless value is an integer and not a bool: the rule for every count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _both_ways(j: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """edge_arrays' (src, dst) of the undirected pairs (j, k): each listed both
     ways, sorted by (src, dst). InteractionGraph and the dense reader call it."""
@@ -90,6 +95,7 @@ def _both_ways(j: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def complete_graph(n: int) -> InteractionGraph:
     """All-pairs graph on n >= 2 nodes; n*(n-1)/2 edges."""
+    _check_integer("n", n)
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     return InteractionGraph(n, tuple((j, k) for j in range(n) for k in range(j + 1, n)))
@@ -97,6 +103,7 @@ def complete_graph(n: int) -> InteractionGraph:
 
 def ring_graph(n: int) -> InteractionGraph:
     """Cycle graph on n >= 3 nodes; every node has exactly two neighbors."""
+    _check_integer("n", n)
     if n < 3:
         raise ValueError("ring graph needs n >= 3")
     return InteractionGraph(n, tuple((k, (k + 1) % n) for k in range(n)))

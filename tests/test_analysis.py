@@ -767,6 +767,17 @@ class TestClassifyCriticalPoint:
         with pytest.raises(ValueError, match="not critical"):
             classify_critical_point(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("grad_tol", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, grad_tol):
+        """A nan tolerance made every comparison false, so [0, 0.5, 1] rad
+        (max |gradient| 0.44) came back a synchronized minimum."""
+        with pytest.raises(ValueError, match="grad_tol must be a finite non-negative number"):
+            classify_critical_point(np.array([0.0, 0.5, 1.0]), grad_tol=grad_tol)
+
+    def test_zero_tolerance_is_allowed(self):
+        out = classify_critical_point(np.zeros(3), grad_tol=0.0)  # a gradient of exact zeros
+        assert out.kind is CriticalKind.SYNC_MINIMUM
+
 
 def full_hessian(theta):
     """critical_point_hessian as it was written before it shared its entry

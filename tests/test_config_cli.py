@@ -84,6 +84,13 @@ class TestConfigParsing:
         cfg = parse_config({**BASE_DOC, "n": 3, "theta0_deg": [0, 10, 20], "gains": "set1"})
         np.testing.assert_allclose(cfg.gains.gains, [-1.0, -2.0, -3.0])
 
+    @pytest.mark.parametrize("name", ["set1", "set3"])
+    def test_named_gain_set_of_no_agents_is_a_config_error(self, name):
+        """n = 0 with a named set: the gains field's error, as for any
+        empty gain list, where set3 used to leak an IndexError."""
+        with pytest.raises(ConfigError, match="field 'gains': gains must be a non-empty"):
+            parse_config({**BASE_DOC, "n": 0, "theta0_deg": [], "gains": name})
+
     def test_ring_topology(self):
         cfg = parse_config(
             {**BASE_DOC, "n": 3, "theta0_deg": [0, 10, 20], "gains": "set2", "topology": "ring"}

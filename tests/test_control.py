@@ -35,6 +35,19 @@ class TestGainVector:
         with pytest.raises(ValueError, match="^gain K_1 = inf is not finite$"):
             GainVector([-1.0, np.inf])
 
+    @pytest.mark.parametrize("gains", [[-1.0, -3.0, 0.5], [6e-309, -1e308], [-2.0**-1020, 7.0]])
+    def test_weights_are_cached_read_only_scaled_reciprocals(self, gains):
+        """weights is s/K_k with s the power of two at min|K|, computed on
+        first read (not at construction), then the same read-only array."""
+        g = GainVector(gains)
+        assert "weights" not in vars(g)
+        k = np.asarray(gains)
+        s = np.ldexp(1.0, np.frexp(np.abs(k).min())[1] - 1)
+        assert np.array_equal(g.weights, s / k) and g.weights is g.weights
+        assert np.all(np.abs(g.weights) <= 1.0) and not g.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights[0] = 1.0
+
     @pytest.mark.parametrize("tiny", [-1e-320, 5e-324, -5.5e-309])
     def test_rejects_gain_without_a_finite_reciprocal(self, tiny):
         """1/K overflows below |K| of about 5.56e-309; the message names the
@@ -116,6 +129,17 @@ class TestSyncStable:
         one = [v for (g, _), v in zip(cases, verdicts) if np.sum(g > 0) == 1]
         assert any(one) and not all(one)
         assert any(np.sum(g > 0) > 1 and np.sum(1.0 / g) > 0 for g, _ in cases)
+
+    @pytest.mark.parametrize("p", [8365433234641585.0, 6995734051560648.0, 8704594775508683.0])
+    def test_pair_whose_reciprocals_round_equal(self, p):
+        """Pairs two_agent_gains returns, K = (p, -(p + 1)) with p below 2**53:
+        sum_k 1/K_k is 1/(p (p + 1)) > 0, but fl(1/p) and fl(1/(p + 1)) are
+        the same float, so a plain (or power-of-two scaled) sum of the
+        reciprocals is exactly 0. The sum of min|K|/K_k, exactly 1 at p,
+        keeps the sign."""
+        k = np.array([p, -(p + 1.0)])
+        assert np.sum(1.0 / k) == 0.0 and np.sum(GainVector(k).weights) == 0.0
+        assert GainVector(k).sync_stable and GainVector(k[::-1]).sync_stable
 
     @pytest.mark.parametrize("gains, stable", [
         ([-1.0, -0.2, -3.0], True),
@@ -311,6 +335,11 @@ class TestGainCap:
         with pytest.raises(ValueError):
             gain_cap(4, -0.1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            gain_cap(n, 1.0)
+
 
 class TestNamedGainSets:
     def test_set_values(self):
@@ -326,3 +355,15 @@ class TestNamedGainSets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_gain_set("set9", 4)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(2.0)])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            named_gain_set("set1", n)
+        assert named_gain_set("set1", np.int64(2)).tolist() == [-1.0, -2.0]
+
+    @pytest.mark.parametrize("name", ["set1", "set2", "set3", "set4"])
+    def test_no_agents_no_gains(self, name):
+        """n = 0 gives no gains for every set; set3 used to raise IndexError
+        from its K_1 = 0.5 assignment."""
+        assert named_gain_set(name, 0).size == 0

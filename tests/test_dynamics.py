@@ -435,6 +435,15 @@ class TestRotatingFrame:
         assert_same_record(rot, explicit_rotating_frame(traj, rate))
         assert rot.omega0 == 0.4 - rate
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_rate(self, omega0):
+        """The message SimulationConfig and the control API give, where inf
+        gave -inf headings and nan columns under numpy warnings."""
+        traj, _ = simulate(make_config(t_max=1.0))
+        with pytest.raises(ValueError, match=f"^omega0 must be finite, got {omega0!r}$"):
+            rotating_frame(traj, omega0)
+
     def test_identity_for_zero_omega(self):
         cfg = make_config(t_max=5.0)
         traj, _ = simulate(cfg)
@@ -596,6 +605,16 @@ def test_heading_spread_of_no_heading_is_a_value_error():
 def test_heading_spread_of_one_or_a_non_finite_heading():
     assert heading_spread([0.0]) == 0.0
     assert np.isnan(heading_spread([np.nan]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [[-9e307, 9e307], [-1e308, 1e308, 0.0]])
+def test_heading_spread_of_a_span_past_the_float_range(theta):
+    """Finite headings whose span overflows give nan, as the pairwise
+    definition does and as non-finite headings do, without a warning."""
+    assert np.isnan(heading_spread(theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(pairwise_spread(theta))
 
 
 def pairwise_spread(theta):
@@ -1226,9 +1245,9 @@ class TestHeadingMajorBatch:
         calls = []
         integrate = dynamics._integrate
 
-        def counted(y0, kvec, omega0, edges, *args):
-            calls.append([e is None for e in edges])
-            return integrate(y0, kvec, omega0, edges, *args)
+        def counted(y0, laws, *args):
+            calls.append([law[2] is None for law in laws])
+            return integrate(y0, laws, *args)
 
         monkeypatch.setattr(dynamics, "_integrate", counted)
         results = simulate_batch(cfgs)
@@ -1236,6 +1255,22 @@ class TestHeadingMajorBatch:
         monkeypatch.setattr(dynamics, "_integrate", integrate)
         for cfg, result in zip(cfgs, results):
             assert_same_run(result, simulate(cfg))
+
+    @pytest.mark.parametrize("runs", [1, 3, 5])
+    def test_each_law_is_derived_once(self, monkeypatch, runs):
+        """simulate_batch derives each config's law once and hands it to the
+        integrator and the record: k configs, k calls of _law, across groups."""
+        cfgs = [self.base_config(kind, t_max=0.5) for kind in [*self.KINDS, *self.KINDS][:runs]]
+        calls = []
+        law = dynamics._law
+
+        def counted(cfg):
+            calls.append(cfg)
+            return law(cfg)
+
+        monkeypatch.setattr(dynamics, "_law", counted)
+        simulate_batch(cfgs)
+        assert len(calls) == runs and all(a is b for a, b in zip(calls, cfgs))
 
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_step_is_the_first_step_of_simulate(self, monkeypatch, kind):
@@ -1435,7 +1470,7 @@ def test_saturating_clip_equals_np_clip_bitwise():
 
     def commands(u_max):
         u, z = np.empty(n), np.empty(n, dtype=complex)
-        angle, bind = dynamics._make_rhs(kvec, None, [None], u_max, n, False)
+        angle, bind = dynamics._make_rhs([(kvec, 0.0, None, u_max)], n, False)
         angle[:] = theta
         bind(u, z)()
         return u

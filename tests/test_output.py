@@ -1,7 +1,9 @@
 """The package's boundaries, read from its source by AST scans: swarmsync.output
 is the one module that writes a file or formats the package's JSON and CSV,
-and swarmsync.phase the one that evaluates the coupling kernel, so a writer or
-a second kernel added anywhere else fails here."""
+swarmsync.phase the one that evaluates the coupling kernel, GainVector.weights
+the one statement of the 1/K weights and simulate_batch and step the only
+callers of dynamics._law, so a writer, a second kernel, a second scaling of
+1/K or a second derivation of a law added anywhere else fails here."""
 
 import ast
 from pathlib import Path
@@ -78,6 +80,31 @@ def kernel_breaks(sources: dict[str, str]) -> list[str]:
     return breaks
 
 
+def callers(sources: dict[str, str], name: str) -> set[tuple[str, str]]:
+    """(module, qualified name of the enclosing function) of each call of
+    name in sources, as a plain name or an attribute (np.frexp)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and _called(child) == name:
+                found.add((module, scope))
+            visit(child, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source, module), "")
+    return found
+
+
+# The scaled reciprocals of the gains: the weights, and the K-form of the
+# two-agent direction, which scales by the power of two at max|K|
+FREXP_CALLERS = {("control.py", "GainVector.weights"), ("analysis.py", "two_agent_direction")}
+LAW_CALLERS = {("dynamics.py", "simulate_batch"), ("dynamics.py", "step")}
+
+
 def package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -131,3 +158,19 @@ class TestKernelBoundary:
         assert kernel_breaks(sources) == [
             "control.py:1 calls bincount", "control.py:2 calls bincount",
             "control.py:3 calls conjugate", "analysis.py:6 calls conj"]
+
+
+class TestLawBoundary:
+    def test_weights_and_laws_are_stated_once(self):
+        sources = package_sources()
+        assert callers(sources, "frexp") == FREXP_CALLERS
+        assert callers(sources, "_law") == LAW_CALLERS
+
+    def test_planted_callers_fail(self):
+        sources = package_sources()
+        sources["analysis.py"] += ("\n\ndef _prediction2(k):\n"
+                                   "    return np.ldexp(1.0, np.frexp(abs(k).min())[1]) / k\n")
+        sources["dynamics.py"] += ("\n\nclass _Run:\n    def law(self, cfg):\n"
+                                   "        return _law(cfg)\n")
+        assert callers(sources, "frexp") - FREXP_CALLERS == {("analysis.py", "_prediction2")}
+        assert callers(sources, "_law") - LAW_CALLERS == {("dynamics.py", "_Run.law")}

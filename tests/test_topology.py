@@ -65,6 +65,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             complete_graph(1)
 
+    @pytest.mark.parametrize("build", [complete_graph, ring_graph])
+    @pytest.mark.parametrize("n", [3.5, 4.0, True, np.float64(5.0)])
+    def test_n_must_be_an_integer(self, build, n):
+        """InteractionGraph's rule for n, applied before range() would raise
+        TypeError; a numpy integer is an integer."""
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            build(n)
+        assert build(np.int64(4)).n == 4
+
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_ring_degrees(self, n):
         g = ring_graph(n)

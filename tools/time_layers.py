@@ -93,11 +93,12 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         n=n, theta0=rng.uniform(0.0, 1.0, n), gains=GainVector(-rng.uniform(0.5, 2.0, n)),
         topology=ring_graph(n) if topology == "ring" else None,
         dt=DT, t_max=(STEPS + 0.5) * DT, record_stride=STRIDE)
-    kvec, omega0, edges, u_max = dynamics._law(cfg)
+    law = dynamics._law(cfg)
+    kvec, omega0, edges, _ = law
     n_steps, _ = dynamics._step_counts(cfg)
     y0 = dynamics._start(cfg)
 
-    angle, bind = dynamics._make_rhs(kvec, omega0, [edges], u_max, n, False)
+    angle, bind = dynamics._make_rhs([law], n, False)
     angle[:] = y0[0]
     rhs = bind(np.empty(n), np.empty(n, dtype=complex))
     step = dynamics._rk4_step((angle, bind), DT, n)[0]
@@ -114,9 +115,8 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
     def observer():
         dynamics._sync_block(theta_block, t, np.full(1, np.nan), np.full(1, np.nan))
 
-    run = dynamics._integrate(y0[:, None], kvec, np.array([[omega0]]), [edges], u_max, DT,
-                              n_steps, STRIDE)
-    traj, _ = dynamics._outcome(cfg, n_steps, run, 0)
+    run = dynamics._integrate(y0[:, None], [law], DT, n_steps, STRIDE)
+    traj, _ = dynamics._outcome(cfg, law, n_steps, run, 0)
     final = run[2][0]
     z = phase._expi(traj.theta)
     products = None if edges is None else phase._edge_products(z, *edges)
@@ -141,7 +141,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
         "rhs": rhs,
         "step": lambda: step(y, out),
         "observer": observer,
-        "outcome": lambda: dynamics._outcome(cfg, n_steps, run, 0),
+        "outcome": lambda: dynamics._outcome(cfg, law, n_steps, run, 0),
         "derive": derive,
         "csv": lambda: traj.to_csv(csv_path),
         "simulate": lambda: dynamics.simulate(cfg),
