@@ -289,12 +289,13 @@ def two_agent_direction(theta0, gains) -> float:
     th = as_heading_vector(theta0)
     if th.size != 2:
         raise ValueError("two_agent_direction needs exactly 2 headings")
-    k = as_gains(gains).gains
-    if k.size != 2:
+    gains = as_gains(gains)
+    if len(gains) != 2:
         raise ValueError("two_agent_direction needs exactly 2 gains")
-    k = k / np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1)  # exact: K_1 + K_2 cannot overflow
-    if not k.sum() < 0.0:
+    if not gains.sync_stable:  # for a pair, exactly K_1 + K_2 < 0
         raise ValueError("requires K_1 + K_2 < 0")
+    k = gains.gains
+    k = k / np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1)  # exact: K_1 + K_2 cannot overflow
     frame = _require_acute(rotated_frame(th))
     hat_c = (k[1] * frame.theta_hat0[0] + k[0] * frame.theta_hat0[1]) / k.sum()
     return float(wrap_angle(hat_c + frame.theta_R))

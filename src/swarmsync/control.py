@@ -71,11 +71,18 @@ class GainVector:
     @property
     def sync_stable(self) -> bool:
         """Sync is linearly stable (mean-field, or any connected graph) iff all gains are
-        negative, or exactly one is positive and sum_k 1/K_k > 0, summed as min|K|/K_k in
-        [-1, 1], not as the weights: exactly +-1 at min|K|, where fl(1/K_k) of a pair can cancel."""
+        negative, or exactly one is positive and sum_k 1/K_k > 0: the sign of the weights'
+        sum, decided in exact rational arithmetic where that sum is within its rounding
+        bound of 0."""
         k = self.gains
         positive = np.count_nonzero(k > 0.0)
-        return bool(positive == 0 or (positive == 1 and np.sum(np.abs(k).min() / k) > 0.0))
+        if positive != 1:
+            return bool(positive == 0)
+        total = self.weights.sum()  # off s sum 1/K by about n 2**-53 sum|w| at most
+        if abs(total) > (k.size + 1) * 2.0**-52 * np.abs(self.weights).sum():
+            return bool(total > 0.0)
+        from fractions import Fraction  # here: importing it loads decimal, about 0.3 MB
+        return sum(1 / Fraction(x) for x in k.tolist()) > 0
 
 
 def as_gains(gains) -> GainVector:
@@ -117,6 +124,8 @@ def gain_cap(n: int, u_max: float) -> float:
     _check_integer("n", n)
     if n < 2:
         raise ValueError("gain cap needs n >= 2")
+    if not math.isfinite(u_max):
+        raise ValueError(f"u_max must be finite, got {u_max!r}")
     if not u_max > 0.0:
         raise ValueError("u_max must be positive")
     return (n / (n - 1)) * u_max

@@ -71,7 +71,9 @@ class SimulationConfig:
     actuation limit; it only clips commands when ``saturate`` is True, but may
     be set alone to document the cap the gains were chosen for. ``jitter``
     adds uniform noise of +-1e-6 rad to the initial headings (seeded
-    by ``seed``) to break exact critical-point ties.
+    by ``seed``) to break exact critical-point ties. ``theta0`` and
+    ``positions0`` are stored as copies, theta0 as theta0 + 0.0, which reads
+    a heading of -0.0 as +0.0, as np.exp(1j * theta0) does.
     """
 
     n: int
@@ -97,14 +99,14 @@ class SimulationConfig:
         th = as_heading_vector(self.theta0)
         if th.size != self.n:
             raise ValueError(f"theta0 has {th.size} entries, expected n={self.n}")
-        self.theta0 = th
+        self.theta0 = th + 0.0
         self.gains = as_gains(self.gains)
         if len(self.gains) != self.n:
             raise ValueError(f"gains has {len(self.gains)} entries, expected n={self.n}")
         if self.positions0 is None:
             self.positions0 = np.zeros((self.n, 2))
         else:
-            pos = np.asarray(self.positions0, dtype=float)
+            pos = np.array(self.positions0, dtype=float)
             if pos.shape != (self.n, 2):
                 raise ValueError(f"positions0 shape {pos.shape}, expected ({self.n}, 2)")
             if not np.all(np.isfinite(pos)):
@@ -148,20 +150,21 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     return n_steps, n_samples
 
 
-def _make_rhs(laws: list, n: int, zero: bool):
+def _make_rhs(laws: list, n: int):
     """(angle, bind) for R runs of n agents, one per _law in laws (sharing the
     first one's clip), all one flat row. angle is the float buffer of a
     stage's R*n angles; bind(u, z) binds phase._coupling's kernel to z once
     and gives the stage's rhs(), which writes e^{i angle} into z
-    (phase._unit_vectors, ``zero`` adding +0.0 to the angles first) and the
-    commands into u; unless ``zero``, zero turn rates are not added (see
-    _integrate). The clip is np.clip's maximum then minimum, called without
-    np.clip's Python layers."""
+    (phase._unit_vectors) and the commands into u. Zero turn rates are not
+    added: adding +0.0 only turns a -0.0 command into +0.0, which no stage
+    angle or step shows, as a run's headings are never -0.0 (see _integrate).
+    The clip is np.clip's maximum then minimum, called without np.clip's
+    Python layers."""
     gains, omega0, edges, clips = zip(*laws)
     kvec, u_max = np.concatenate(gains), clips[0]
-    omega0 = np.repeat(np.array(omega0, dtype=float), n) if zero or any(omega0) else None
+    omega0 = np.repeat(np.array(omega0, dtype=float), n) if any(omega0) else None
     lo, hi = (np.array(b) for b in (-u_max, u_max)) if u_max is not None else (None, None)
-    angle, unit_into = _unit_vectors((len(laws) * n,), zero)
+    angle, unit_into = _unit_vectors((len(laws) * n,))
     coupling = _coupling(edges, n)
 
     def bind(u: np.ndarray, z: np.ndarray):
@@ -188,13 +191,12 @@ def _rk4_step(rhs, dt: float, m: int):
     A state is [theta | x0, y0, x1, y1, ...], 3m floats for m headings, so
     the position part of a stage derivative k, k[m:] viewed as complex, is
     the e^{i theta} that the rhs writes in place. A stage's angles are the
-    plain real theta + h u, written into the rhs's angle buffer; the plain
-    scheme forms e^{i (theta + h u)} from 1j * (theta + h u), which turns an
-    angle of -0.0 into +0.0, and _make_rhs's ``zero`` does the same where an
-    angle can be -0.0 (see _integrate). Each operation writes into a buffer
-    in the order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's: the
-    k are rows of one buffer, summed by one reduce that starts from -0.0, as
-    -0.0 + k1 is k1 where numpy's default start +0.0 would turn -0.0 to +0.0.
+    plain real theta + h u, written into the rhs's angle buffer, whose
+    e^{i angle} is the plain scheme's np.exp(1j * (theta + h u)) as no angle
+    is -0.0 (see _integrate). Each operation writes into a buffer in the
+    order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), the plain scheme's: the k are
+    rows of one buffer, summed by one reduce, whose start +0.0 changes only
+    the sign of an all-zero sum, which no heading that is not -0.0 shows.
     Also returns acc, which after a step holds its increment out - y."""
     angle, bind = rhs
     ks, acc = np.empty((4, 3 * m)), np.empty(3 * m)
@@ -215,7 +217,7 @@ def _rk4_step(rhs, dt: float, m: int):
         np.add(theta, np.multiply(full, u3, angle), angle)
         f4()
         np.multiply(two, mid, mid)
-        np.add.reduce(ks, 0, None, acc, False, -0.0)
+        np.add.reduce(ks, 0, None, acc)
         np.add(y, np.multiply(sixth, acc, acc), out)
 
     return step, acc
@@ -289,11 +291,6 @@ def _block_steps(state_bytes: int, n_steps: int) -> int:
     return min(most, n_steps + 1)
 
 
-def _has_negative_zero(theta: np.ndarray) -> bool:
-    """Whether a heading is -0.0, the one float whose sign 1j * theta drops."""
-    return bool(np.signbit(theta[theta == 0.0]).any())
-
-
 def _runs(states: np.ndarray, runs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the headings (..., R, n) and positions (..., R, n, 2) of R runs."""
     lead, m = states.shape[:-1], runs * n
@@ -312,14 +309,10 @@ def _integrate(y0: np.ndarray, laws: list, dt: float, n_steps: int, stride: int)
     Returns views of the recorded headings (S, R, n) and positions (S, R, n,
     2), the final headings (R, n), and per run (R,) the sync time and
     the time of its first non-finite recorded or final state, nan for none.
-    Stops early once every run has diverged. A heading is -0.0 only if it
-    starts so, as x + y is -0.0 only if both are, and so is a stage angle
-    theta + h u; only on a -0.0 heading does the sign of a zero h u show in
-    it. Where some initial heading is -0.0, the rhs adds +0.0 to the stage
-    angles (see _rk4_step). Where none is and every omega0 is zero, _make_rhs
-    skips adding omega0: adding +0.0 only turns a -0.0 command into +0.0,
-    which neither the stage angles nor the final combine show on a heading
-    that is not -0.0.
+    Stops early once every run has diverged. A run's headings are never
+    -0.0: they start as SimulationConfig's or step()'s theta + 0.0, and x + y
+    is -0.0 only if both are, so no later heading or stage angle theta + h u
+    is -0.0 either.
 
     After each FREEZE_CHECK_STEPS steps, and at a block's end, the last two
     rows of headings are compared bit for bit. Once a step leaves every
@@ -333,7 +326,7 @@ def _integrate(y0: np.ndarray, laws: list, dt: float, n_steps: int, stride: int)
     """
     _, runs, n = y0.shape
     m = runs * n
-    step, incr = _rk4_step(_make_rhs(laws, n, _has_negative_zero(y0[0])), dt, m)
+    step, incr = _rk4_step(_make_rhs(laws, n), dt, m)
     states = np.empty((n_steps // stride + 1, 3 * m))
     slots = _block_steps(y0.nbytes, n_steps)
     block = np.empty((slots, 3 * m))
@@ -401,11 +394,11 @@ def _start(cfg: SimulationConfig) -> np.ndarray:
 
 def step(state: SwarmState, cfg: SimulationConfig) -> SwarmState:
     """Advance one dt with the classical 4th-order scheme: the first step
-    simulate() takes from this state, bit for bit."""
-    y = np.concatenate((state.theta, np.ravel(state.positions)), dtype=float)
-    rhs = _make_rhs([_law(cfg)], cfg.n, _has_negative_zero(y[:cfg.n]))
+    simulate() takes from this state, bit for bit (a -0.0 heading reads as
+    +0.0, as in SimulationConfig)."""
+    y = np.concatenate((np.add(state.theta, 0.0), np.ravel(state.positions)), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_step(rhs, cfg.dt, cfg.n)[0](y, y)
+        _rk4_step(_make_rhs([_law(cfg)], cfg.n), cfg.dt, cfg.n)[0](y, y)
     if not np.all(np.isfinite(y)):
         raise DivergenceError(f"non-finite state after step from t={state.t:g}")
     return SwarmState(t=state.t + cfg.dt, positions=y[cfg.n:].reshape(-1, 2), theta=y[:cfg.n])

@@ -48,7 +48,7 @@ def as_heading_vector(theta) -> np.ndarray:
     return th
 
 
-def _unit_vectors(shape, zero: bool):
+def _unit_vectors(shape):
     """(angle, bind): a float array of ``shape`` that holds angles theta, and
     bind(z), a function of no arguments that writes e^{i theta} into the
     complex array z of that shape. The one way e^{i theta} is computed.
@@ -58,32 +58,20 @@ def _unit_vectors(shape, zero: bool):
     np.exp of a complex buffer whose real part is +0.0 and whose imaginary
     part is ``angle``. Both give the floats of np.exp(1j * theta) for every
     theta but -0.0, where 1j * theta has the imaginary part +0.0 and the
-    two ways keep -0.0. With ``zero`` set, the function first adds +0.0 to
-    the angles, which turns -0.0 into +0.0 and leaves every other float
-    alone; a caller whose angles cannot be -0.0 skips that pass.
+    two ways keep -0.0; a run's headings are never -0.0, and _expi adds
+    +0.0 to its angles first.
     """
     if math.prod(shape) < UNIT_COS_SIN_MIN:
         w = np.zeros(shape, dtype=complex)
-        angle = w.imag
-
-        def writes(z):
-            return (partial(np.exp, w, z),)
-    else:
-        angle = np.empty(shape)
-
-        def writes(z):
-            return partial(np.cos, angle, z.real), partial(np.sin, angle, z.imag)
-
-    plus_zero = (partial(np.add, angle, 0.0, angle),) if zero else ()
+        return w.imag, lambda z: partial(np.exp, w, z)  # no wrapper call in the small-n RK4 loop
+    angle = np.empty(shape)
 
     def bind(z):
-        calls = plus_zero + writes(z)
-        if len(calls) == 1:  # np.exp alone: no wrapper call in the small-n RK4 loop
-            return calls[0]
+        re, im = z.real, z.imag
 
         def unit():
-            for call in calls:
-                call()
+            np.cos(angle, re)
+            np.sin(angle, im)
         return unit
 
     return angle, bind
@@ -92,7 +80,7 @@ def _unit_vectors(shape, zero: bool):
 def _expi(theta) -> np.ndarray:
     """np.exp(1j * theta) for real theta of any shape, bit for bit (see
     _unit_vectors)."""
-    angle, bind = _unit_vectors(np.shape(theta), False)
+    angle, bind = _unit_vectors(np.shape(theta))
     np.add(theta, 0.0, angle)  # as 1j * theta does, turns -0.0 into +0.0
     z = np.empty(angle.shape, dtype=complex)
     bind(z)()

@@ -223,6 +223,23 @@ class TestCliCommands:
         assert report["synchronized"] is True
         assert abs(report["final_heading_common_deg"]) < 0.1
 
+    @pytest.mark.parametrize("topology", ["complete", "ring"])
+    @pytest.mark.parametrize("clip", [{}, {"u_max": 0.2, "saturate": True}], ids=["free", "sat"])
+    def test_negative_zero_heading_writes_the_bytes_of_positive_zero(self, tmp_path, topology,
+                                                                     clip):
+        """An initial heading of -0.0 reads as +0.0: the run writes the same
+        trajectory.csv and convergence.json bytes as one starting at 0.0."""
+        written = []
+        for zero in (-0.0, 0.0):
+            doc = {"n": 3, "theta0_deg": [zero, 40.0, -40.0], "gains": [-1.0, -0.5, -2.0],
+                   "topology": topology, "t_max": 10.0, "record_stride": 5, **clip}
+            out = tmp_path / repr(zero)
+            cfg = write_config(tmp_path, doc, f"{zero!r}.json")
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            written.append([code] + [(out / f).read_bytes()
+                                     for f in ("trajectory.csv", "convergence.json")])
+        assert written[0] == written[1]
+
     def test_simulate_no_sync_exits_two(self, tmp_path, capsys):
         doc = {**BASE_DOC, "theta0_deg": [0.0, 180.0], "t_max": 5.0}
         cfg = write_config(tmp_path, doc)

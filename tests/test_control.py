@@ -1,6 +1,7 @@
 """Turn-rate commands, gain validation, saturation, and the gain cap."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,11 +136,41 @@ class TestSyncStable:
         """Pairs two_agent_gains returns, K = (p, -(p + 1)) with p below 2**53:
         sum_k 1/K_k is 1/(p (p + 1)) > 0, but fl(1/p) and fl(1/(p + 1)) are
         the same float, so a plain (or power-of-two scaled) sum of the
-        reciprocals is exactly 0. The sum of min|K|/K_k, exactly 1 at p,
-        keeps the sign."""
+        reciprocals is exactly 0. The exact sign keeps it stable."""
         k = np.array([p, -(p + 1.0)])
         assert np.sum(1.0 / k) == 0.0 and np.sum(GainVector(k).weights) == 0.0
         assert GainVector(k).sync_stable and GainVector(k[::-1]).sync_stable
+
+    def test_boundary_fuzz_matches_the_exact_sign(self):
+        """9,000 seeded one-positive gain vectors at the boundary: 2 to 8
+        agents, negative gains -q_j with q_j an integer from 1 to 59 times a
+        shared e^U(-3, 3), and one positive gain p = 1/sum_j(1/q_j) or a float
+        neighbour of it. sync_stable is the sign of sum_k 1/K_k taken exactly
+        with fractions.Fraction, where a float sum of the reciprocals, scaled
+        or not, misjudges hundreds of these."""
+        rng = np.random.default_rng(9000)
+        verdicts, exact = [], []
+        for _ in range(9000):
+            m = int(rng.integers(1, 8))
+            q = rng.integers(1, 60, m) * np.exp(rng.uniform(-3.0, 3.0))
+            p = 1.0 / np.sum(1.0 / q)
+            p = (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))[rng.integers(3)]
+            gains = np.insert(-q, rng.integers(m + 1), p)
+            verdicts.append(GainVector(gains).sync_stable)
+            exact.append(sum(1 / Fraction(k) for k in gains.tolist()) > 0)
+        assert verdicts == exact
+        assert 0 < sum(exact) < len(exact)
+
+    def test_pairs_are_stable_exactly_when_the_gains_sum_below_zero(self):
+        """For two gains sum_k 1/K_k = (K_1 + K_2)/(K_1 K_2), so the rule is
+        K_1 + K_2 < 0, the condition two_agent_direction checks, also for
+        pairs that cancel to within a few ulps and at the float limits."""
+        rng = np.random.default_rng(2)
+        k1 = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-300.0, 300.0, 4000)
+        k2 = -k1 * (1.0 + rng.integers(-4, 5, 4000) * 2.0**-52)
+        k2[::4] = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000)
+        for pair in np.column_stack((k1, k2)):
+            assert GainVector(pair).sync_stable is bool(pair.sum() < 0.0), pair
 
     @pytest.mark.parametrize("gains, stable", [
         ([-1.0, -0.2, -3.0], True),
@@ -339,6 +370,12 @@ class TestGainCap:
     def test_n_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             gain_cap(n, 1.0)
+
+    @pytest.mark.parametrize("u_max", [np.inf, -np.inf, np.nan])
+    def test_non_finite_limit_is_rejected(self, u_max):
+        """As SimulationConfig rejects it, before the sign test."""
+        with pytest.raises(ValueError, match=f"^u_max must be finite, got {u_max!r}$"):
+            gain_cap(3, u_max)
 
 
 class TestNamedGainSets:

@@ -95,8 +95,32 @@ class TestConfigValidation:
         traj, _ = simulate(cfg)
         assert traj.theta.shape == (51, 2)
 
+    def test_stores_copies_of_the_caller_arrays(self):
+        """Changing the arrays a config was built from afterwards changes
+        neither the config nor its runs; a heading of -0.0 is stored as +0.0."""
+        theta0 = np.array([-0.0, 0.4, -0.7])
+        positions0 = np.array([[0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+        cfg = SimulationConfig(n=3, theta0=theta0, gains=GainVector([-1.0, -2.0, -0.5]),
+                               positions0=positions0, t_max=1.0, record_stride=10)
+        before = simulate(cfg)
+        theta0[:], positions0[:] = 1.0, 5.0
+        assert same_bits(cfg.theta0, [0.0, 0.4, -0.7])
+        assert same_bits(cfg.positions0, [[0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+        assert_same_run(simulate(cfg), before)
+
 
 class TestStep:
+    def test_negative_zero_heading_steps_as_positive_zero(self):
+        """step() reads a -0.0 heading as +0.0, as SimulationConfig does:
+        between symmetric headings and with omega0 = -0.0 its command is
+        -0.0, which would keep a -0.0 heading."""
+        cfg = make_config(n=3, theta0=[0.0, 0.4, -0.4], gains=GainVector(-np.ones(3)),
+                          omega0=-0.0)
+        new = [step(SwarmState(0.0, np.zeros((3, 2)), np.array([zero, 0.4, -0.4])), cfg)
+               for zero in (-0.0, 0.0)]
+        assert same_bits(new[0].theta, new[1].theta)
+        assert same_bits(new[0].positions, new[1].positions)
+
     def test_synchronized_equilibrium_translates(self):
         """At sync with omega0 = 0 the headings freeze and every agent
         translates by dt * (cos, sin) of the common heading."""
@@ -1320,9 +1344,9 @@ class TestSignedZeroStages:
     with np.cos/np.sin, TestSignedZeroStagesCosSin). The plain scheme's
     np.exp(1j * (theta + h u)) differs from both only at an angle of -0.0,
     whose imaginary part i*x turns into +0.0: a -0.0 heading whose command
-    is -0.0. Where a heading starts at -0.0 the rhs adds +0.0 to the angles
-    first, which changes only that float; the first test pins the numpy
-    facts this rests on."""
+    is -0.0. A heading that starts at -0.0 enters the run as +0.0
+    (SimulationConfig and step() add +0.0), so no heading or stage angle is
+    -0.0; the first test pins the numpy facts this rests on."""
 
     OMEGA0 = -0.0
 
@@ -1387,9 +1411,9 @@ class TestSignedZeroStages:
 
 class TestSignedZeroStagesUnforced(TestSignedZeroStages):
     """The same starts with omega0 = +0.0, the default. Adding +0.0 turns a
-    -0.0 command into +0.0, and the last add of the combine writes that sign
-    into a -0.0 heading, so the integrator may skip the add only where no
-    heading starts at -0.0 (see dynamics._integrate)."""
+    -0.0 command into +0.0, a sign that only a -0.0 heading would show; the
+    -0.0 starts enter as +0.0, so the integrator skips the add (see
+    dynamics._integrate)."""
 
     OMEGA0 = 0.0
 
@@ -1397,8 +1421,8 @@ class TestSignedZeroStagesUnforced(TestSignedZeroStages):
 class TestSignedZeroStagesCosSin(TestSignedZeroStages):
     """The same starts with e^{i theta} from np.cos/np.sin, the way batches
     of phase.UNIT_COS_SIN_MIN headings or more take: sin keeps a -0.0 angle
-    as np.exp does, so the +0.0 add where a heading starts at -0.0 is what
-    keeps these runs equal to the plain scheme."""
+    as np.exp does, so the -0.0 starts entering as +0.0 is what keeps these
+    runs equal to the plain scheme."""
 
     @pytest.fixture(autouse=True)
     def cos_sin(self, monkeypatch):
@@ -1470,7 +1494,7 @@ def test_saturating_clip_equals_np_clip_bitwise():
 
     def commands(u_max):
         u, z = np.empty(n), np.empty(n, dtype=complex)
-        angle, bind = dynamics._make_rhs([(kvec, 0.0, None, u_max)], n, False)
+        angle, bind = dynamics._make_rhs([(kvec, 0.0, None, u_max)], n)
         angle[:] = theta
         bind(u, z)()
         return u

@@ -3,7 +3,8 @@ is the one module that writes a file or formats the package's JSON and CSV,
 swarmsync.phase the one that evaluates the coupling kernel, GainVector.weights
 the one statement of the 1/K weights and simulate_batch and step the only
 callers of dynamics._law, so a writer, a second kernel, a second scaling of
-1/K or a second derivation of a law added anywhere else fails here."""
+1/K or a second derivation of a law added anywhere else fails here. The
+integrator carries no -0.0 emulation: a run's headings are never -0.0."""
 
 import ast
 from pathlib import Path
@@ -105,6 +106,19 @@ FREXP_CALLERS = {("control.py", "GainVector.weights"), ("analysis.py", "two_agen
 LAW_CALLERS = {("dynamics.py", "simulate_batch"), ("dynamics.py", "step")}
 
 
+def signed_zero_breaks(sources: dict[str, str]) -> list[str]:
+    """Each parameter named zero and each call of signbit in the integrator's
+    modules, dynamics.py and phase.py: what a -0.0 emulation would need."""
+    breaks = []
+    for name in ("dynamics.py", "phase.py"):
+        for node in ast.walk(ast.parse(sources[name], name)):
+            if isinstance(node, ast.arg) and node.arg == "zero":
+                breaks.append(f"{name}:{node.lineno} takes zero")
+            if isinstance(node, ast.Call) and _called(node) == "signbit":
+                breaks.append(f"{name}:{node.lineno} calls signbit")
+    return breaks
+
+
 def package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -174,3 +188,16 @@ class TestLawBoundary:
                                    "        return _law(cfg)\n")
         assert callers(sources, "frexp") - FREXP_CALLERS == {("analysis.py", "_prediction2")}
         assert callers(sources, "_law") - LAW_CALLERS == {("dynamics.py", "_Run.law")}
+
+
+class TestSignedZeroBoundary:
+    def test_no_negative_zero_emulation(self):
+        assert signed_zero_breaks(package_sources()) == []
+
+    def test_planted_emulation_fails(self):
+        sources = package_sources()
+        sources["phase.py"] += "\n\ndef _unit(shape, zero):\n    return shape\n"
+        sources["dynamics.py"] += "\n\ndef _has(theta):\n    return np.signbit(theta).any()\n"
+        assert signed_zero_breaks(sources) == [
+            f"dynamics.py:{len(sources['dynamics.py'].splitlines())} calls signbit",
+            f"phase.py:{len(sources['phase.py'].splitlines()) - 1} takes zero"]

@@ -349,21 +349,19 @@ class TestUnitVectors:
 
     def test_negative_zero_is_the_one_exception(self, way):
         """1j * -0.0 has the imaginary part +0.0; both ways keep the sign of
-        -0.0 in sin, and ``zero`` turns it into +0.0 first."""
-        for zero in (False, True):
-            angle, bind = _unit_vectors(self.SPECIAL.shape, zero)
-            angle[:] = self.SPECIAL
-            z = np.empty(self.SPECIAL.shape, dtype=complex)
-            bind(z)()
-            differs = z.view(np.uint64) != np.exp(1j * self.SPECIAL).view(np.uint64)
-            assert differs.ravel().tolist() == ([False] * 3 + [True] + [False] * 26
-                                                if not zero else [False] * 30)
+        -0.0 in sin."""
+        angle, bind = _unit_vectors(self.SPECIAL.shape)
+        angle[:] = self.SPECIAL
+        z = np.empty(self.SPECIAL.shape, dtype=complex)
+        bind(z)()
+        differs = z.view(np.uint64) != np.exp(1j * self.SPECIAL).view(np.uint64)
+        assert differs.ravel().tolist() == [False] * 3 + [True] + [False] * 26
 
     def test_size_picks_the_way(self):
         """Below UNIT_COS_SIN_MIN angles the angle buffer is the imaginary
         part of np.exp's complex input; from it on, a plain float array."""
-        below, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN - 1,), False)
-        at, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN,), False)
+        below, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN - 1,))
+        at, _ = _unit_vectors((phase.UNIT_COS_SIN_MIN,))
         assert below.base is not None and below.base.dtype == complex
         assert at.base is None and at.dtype == float
 

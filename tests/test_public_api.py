@@ -44,11 +44,14 @@ def test_library_use_example_runs(capsys):
 
 def test_import_loads_no_numpy_random():
     """A fresh `import swarmsync` draws nothing and so loads no numpy.random:
-    the bundled scenarios are fixed documents, and only a jittered run draws."""
+    the bundled scenarios are fixed documents, and only a jittered run draws.
+    Nor does it load fractions or decimal, which only GainVector.sync_stable's
+    exact tie-break imports."""
     src = str(Path(swarmsync.__file__).parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, swarmsync; print('numpy.random' in sys.modules)"],
+        [sys.executable, "-c", "import sys, swarmsync; "
+         "print([m in sys.modules for m in ('numpy.random', 'fractions', 'decimal')])"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))})
-    assert done.stdout == "False\n"
+    assert done.stdout == "[False, False, False]\n"

@@ -98,7 +98,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
     n_steps, _ = dynamics._step_counts(cfg)
     y0 = dynamics._start(cfg)
 
-    angle, bind = dynamics._make_rhs([law], n, False)
+    angle, bind = dynamics._make_rhs([law], n)
     angle[:] = y0[0]
     rhs = bind(np.empty(n), np.empty(n, dtype=complex))
     step = dynamics._rk4_step((angle, bind), DT, n)[0]
@@ -154,7 +154,7 @@ def layers(n: int, topology: str, seed: int, csv_path: Path):
 def unit_vectors(theta: np.ndarray):
     """The zero-argument writer of e^{i theta} that phase._unit_vectors
     binds for these headings, as the right-hand side uses it."""
-    angle, bind = phase._unit_vectors(theta.shape, False)
+    angle, bind = phase._unit_vectors(theta.shape)
     angle[:] = theta
     return bind(np.empty(theta.shape, dtype=complex))
 
