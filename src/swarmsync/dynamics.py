@@ -150,6 +150,11 @@ def _step_counts(cfg: SimulationConfig) -> tuple[int, int]:
     return n_steps, n_samples
 
 
+def _clip(u: np.ndarray, lo, hi) -> np.ndarray:
+    """The actuation rule: np.clip(u, lo, hi, out=u) without np.clip's Python layers."""
+    return np.minimum(np.maximum(u, lo, out=u), hi, out=u)
+
+
 def _make_rhs(laws: list, n: int):
     """(angle, bind) for R runs of n agents, one per _law in laws (sharing the
     first one's clip), all one flat row. angle is the float buffer of a
@@ -157,9 +162,7 @@ def _make_rhs(laws: list, n: int):
     and gives the stage's rhs(), which writes e^{i angle} into z
     (phase._unit_vectors) and the commands into u. Zero turn rates are not
     added: adding +0.0 only turns a -0.0 command into +0.0, which no stage
-    angle or step shows, as a run's headings are never -0.0 (see _integrate).
-    The clip is np.clip's maximum then minimum, called without np.clip's
-    Python layers."""
+    angle or step shows, as a run's headings are never -0.0 (see _integrate)."""
     gains, omega0, edges, clips = zip(*laws)
     kvec, u_max = np.concatenate(gains), clips[0]
     omega0 = np.repeat(np.array(omega0, dtype=float), n) if any(omega0) else None
@@ -176,7 +179,7 @@ def _make_rhs(laws: list, n: int):
             if omega0 is not None:
                 np.add(omega0, u, u)
             if u_max is not None:
-                np.minimum(np.maximum(u, lo, out=u), hi, out=u)
+                _clip(u, lo, hi)
 
         return rhs
 
@@ -410,22 +413,19 @@ def _outcome(cfg: SimulationConfig, law: tuple, n_steps: int, run: tuple,
     theta, positions, final, t_sync, _ = run
     theta_s, final, t_sync = theta[:, b], final[b], t_sync[b]
     kvec, omega0, edges, u_max = law
-    # the commands the right-hand side evaluates at each sample, and where
-    # clipping changed them (strictly beyond u_max); a gain near the float
-    # limit overflows a command to +-inf, which the clip bounds, so numpy's
-    # overflow warning is silenced as in _integrate. z and the edge products
-    # also give the record's derived columns.
+    # the commands the right-hand side evaluates at each sample, bounded by
+    # its _clip, and where the clip changed one (finite headings give no nan
+    # command); a gain near the float limit overflows a command to +-inf,
+    # which the clip bounds, so numpy's overflow warning is silenced as in
+    # _integrate. z and the edge products also give the record's derived columns.
     with np.errstate(over="ignore", invalid="ignore"):
         z = _expi(theta_s)
         products = None if edges is None else _edge_products(z, *edges)
         u = omega0 + kvec * _grad(z, edges, products)
-    if u_max is None:
-        controls, saturated = u, np.zeros_like(u, dtype=bool)
-    else:
-        controls, saturated = np.clip(u, -u_max, u_max), np.abs(u) > u_max
+    controls = u if u_max is None else _clip(u.copy(), -u_max, u_max)
     traj = TrajectoryRecord(times=np.arange(len(theta_s)) * cfg.record_stride * cfg.dt,
                             theta=theta_s, positions=positions[:, b], controls=controls,
-                            saturated=saturated, gains=kvec, omega0=omega0, edges=edges,
+                            saturated=controls != u, gains=kvec, omega0=omega0, edges=edges,
                             z=z, edge_products=products)
     synchronized = not np.isnan(t_sync)
     heading = (float(np.angle(_expi(final - omega0 * (n_steps * cfg.dt)).mean()))

@@ -247,6 +247,18 @@ class TestCliCommands:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["synchronized"] is False
 
+    def test_disconnected_graph_warns_on_stderr(self, tmp_path):
+        """A run on two components does not synchronize: exit 2, with the
+        run-start warning on stderr."""
+        doc = {"n": 4, "theta0_deg": [-30.0, 10.0, 40.0, 80.0], "gains": [-1.0] * 4,
+               "topology": {"edges": [[0, 1], [2, 3]]}, "t_max": 5.0}
+        proc = run_fresh(["-m", "swarmsync.cli", "simulate", "--config",
+                          str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert strict_json(proc.stdout)["synchronized"] is False
+        assert proc.stderr.count("UserWarning: interaction graph is not connected; "
+                                 "synchronization is not guaranteed\n") == 1
+
     def test_malformed_config_exits_one_with_error_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE_DOC, "gains": [0.0, -1.0]})
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -31,7 +31,7 @@ from swarmsync import (
     step,
     wrap_angle,
 )
-from swarmsync import dynamics, phase
+from swarmsync import SCENARIOS, dynamics, phase
 from swarmsync.dynamics import SYNC_HOLD, SYNC_TOL
 from swarmsync.topology import edge_arrays, is_connected
 
@@ -383,6 +383,20 @@ class TestSimulate:
         cfg = make_config(gains=GainVector([1.0, -0.5]), t_max=1.0)
         with pytest.warns(UserWarning, match="sync-stable"):
             simulate(cfg)
+
+    def test_disconnected_graph_warns_once(self):
+        """A run on two components warns once, alone or batched with a
+        connected run."""
+        split = make_config(n=4, theta0=np.deg2rad([-30.0, 10.0, 40.0, 80.0]),
+                            gains=GainVector([-1.0] * 4), t_max=5.0,
+                            topology=InteractionGraph(4, ((0, 1), (2, 3))))
+        ring = dataclasses.replace(split, topology=ring_graph(4))
+        for run in (partial(simulate, split), partial(simulate_batch, [split, ring])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+            assert [str(w.message) for w in caught] == [
+                "interaction graph is not connected; synchronization is not guaranteed"]
 
 
 class TestGainSumWarning:
@@ -1504,6 +1518,24 @@ def test_saturating_clip_equals_np_clip_bitwise():
     assert np.signbit(raw[3]) != np.signbit(raw[4]) and raw[8] == -raw[9]
     for u_max in (abs(raw[8]), abs(raw[5]), 1.0):
         assert same_bits(commands(u_max), np.clip(raw, -u_max, u_max)), u_max
+        # the record's flag, where _outcome's clip changed a command, is the
+        # threshold |u| > u_max on every command a record can hold (no nan)
+        u = raw[1:]
+        assert same_bits(dynamics._clip(u.copy(), -u_max, u_max) != u, np.abs(u) > u_max)
+
+
+def test_saturated_flag_is_the_threshold_on_sim3_sat():
+    """On every sample of both sim3-sat runs, the record's saturated flag is
+    |u| > u_max bit for bit, u the unclipped command the control API
+    computes from the recorded headings, and the controls are np.clip(u)."""
+    runs = SCENARIOS["sim3-sat"]()
+    for (name, cfg), (traj, _) in zip(runs, simulate_batch([cfg for _, cfg in runs])):
+        law = (control_all_to_all if cfg.topology is None
+               else partial(control_limited, g=cfg.topology))
+        u = np.array([law(theta, cfg.gains, omega0=cfg.omega0) for theta in traj.theta])
+        assert same_bits(traj.saturated, np.abs(u) > cfg.u_max), name
+        assert same_bits(traj.controls, np.clip(u, -cfg.u_max, cfg.u_max)), name
+        assert traj.saturated.any() and not traj.saturated.all(), name
 
 
 # -- metamorphic oracles: symmetries of the closed loop ----------------------

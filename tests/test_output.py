@@ -2,9 +2,10 @@
 is the one module that writes a file or formats the package's JSON and CSV,
 swarmsync.phase the one that evaluates the coupling kernel, GainVector.weights
 the one statement of the 1/K weights and simulate_batch and step the only
-callers of dynamics._law, so a writer, a second kernel, a second scaling of
-1/K or a second derivation of a law added anywhere else fails here. The
-integrator carries no -0.0 emulation: a run's headings are never -0.0."""
+callers of dynamics._law, and dynamics._clip the one statement of the
+actuation rule, so a writer, a second kernel, a second scaling of 1/K, a
+second derivation of a law or a second clip added anywhere else fails here.
+The integrator carries no -0.0 emulation: a run's headings are never -0.0."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,12 @@ FREXP_CALLERS = {("control.py", "GainVector.weights"), ("analysis.py", "two_agen
 LAW_CALLERS = {("dynamics.py", "simulate_batch"), ("dynamics.py", "step")}
 
 
+def clippers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, function) of each call of clip, and each function that calls
+    both maximum and minimum: the ways to bound a command to [lo, hi]."""
+    return callers(sources, "clip") | (callers(sources, "maximum") & callers(sources, "minimum"))
+
+
 def signed_zero_breaks(sources: dict[str, str]) -> list[str]:
     """Each parameter named zero and each call of signbit in the integrator's
     modules, dynamics.py and phase.py: what a -0.0 emulation would need."""
@@ -188,6 +195,21 @@ class TestLawBoundary:
                                    "        return _law(cfg)\n")
         assert callers(sources, "frexp") - FREXP_CALLERS == {("analysis.py", "_prediction2")}
         assert callers(sources, "_law") - LAW_CALLERS == {("dynamics.py", "_Run.law")}
+
+
+class TestActuationBoundary:
+    def test_the_actuation_rule_is_stated_once(self):
+        sources = package_sources()
+        assert callers(sources, "clip") == set()
+        assert clippers(sources) == {("dynamics.py", "_clip")}
+
+    def test_planted_clips_fail(self):
+        sources = package_sources()
+        sources["analysis.py"] += "\n\ndef _bounded(u):\n    return np.clip(u, -1, 1)\n"
+        sources["dynamics.py"] += ("\n\ndef _saturate(u, lo, hi):\n"
+                                   "    return np.minimum(np.maximum(u, lo), hi)\n")
+        assert clippers(sources) == {("dynamics.py", "_clip"), ("analysis.py", "_bounded"),
+                                     ("dynamics.py", "_saturate")}
 
 
 class TestSignedZeroBoundary:
