@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, predict, reachable, synthesize, perturb, classify,
-scenario. Analysis results go to stdout as JSON; simulate and scenario write
-CSV/JSON files under the output directory (--out, else $SWARMSYNC_OUT, else
-./out).
+scenario. Results go to stdout as JSON. simulate, synthesize and scenario
+write files under --out (else $SWARMSYNC_OUT, else ./out) and take the run
+overrides --dt and --t-max; simulate and synthesize take --seed too.
 
 Exit codes: 0 success / synchronized, 2 finished without synchronizing (or a
 scenario check failed), 1 error or bad arguments (an error JSON is printed).
@@ -33,11 +33,6 @@ from .scenarios import SCENARIOS, run_scenario
 DEFAULT_OUT = "out"
 
 
-def _emit(obj) -> None:
-    # flushed here, so a closed stdout raises inside main, not at exit
-    print(json_text(obj), flush=True)
-
-
 def _out_dir(arg: str | None) -> Path:
     path = Path(arg or os.environ.get("SWARMSYNC_OUT") or DEFAULT_OUT)
     path.mkdir(parents=True, exist_ok=True)
@@ -65,7 +60,7 @@ def _synthesize(cfg, args) -> tuple[dict, int]:
 
 
 def _scenario(_, args) -> tuple[dict, int]:
-    code, summary = run_scenario(args.name, _out_dir(args.out), args.dt, args.t_max, args.seed)
+    code, summary = run_scenario(args.name, _out_dir(args.out), args.dt, args.t_max)
     return summary, code
 
 
@@ -73,7 +68,8 @@ def _opt(*flags, **kw) -> tuple[tuple, dict]:
     return flags, kw
 
 
-_COMMON = (
+# a run's output directory and config overrides; scenario takes all but --seed
+_RUN = (
     _opt("--out", default=None, help="output directory"),
     _opt("--dt", type=float, default=None, help="override step size (s)"),
     _opt("--t-max", dest="t_max", type=float, default=None, help="override horizon (s)"),
@@ -82,22 +78,21 @@ _COMMON = (
 _TARGET = _opt("--target-deg", dest="target_deg", type=float, required=True)
 _ETA = _opt("--eta", type=float, required=True, help="max fractional gain error in [0, 1)")
 
-# name: (help, options after the common ones, command(cfg, args) -> (document, exit code));
+# name: (help, options after --config, command(cfg, args) -> (document, exit code));
 # scenario takes a name in place of --config and gets no config
 _COMMANDS = {
-    "simulate": ("integrate the closed loop, write CSV + JSON", (), _simulate),
+    "simulate": ("integrate the closed loop, write CSV + JSON", _RUN, _simulate),
     "predict": ("closed-form synchronized direction", (), lambda cfg, args: (
         _direction(analysis.predict_direction(cfg.theta0, cfg.gains)), 0)),
     "reachable": ("test whether a direction is reachable", (_TARGET,), lambda cfg, args: (
         analysis.is_reachable(cfg.theta0, np.deg2rad(args.target_deg)).to_dict(), 0)),
-    "synthesize": ("construct gains for a target direction",
-                   (_TARGET, _opt("--c", type=float, default=-1.0, help="negative scale constant")),
-                   _synthesize),
+    "synthesize": ("construct gains for a target direction", (*_RUN, _TARGET, _opt(
+        "--c", type=float, default=-1.0, help="negative scale constant")), _synthesize),
     "perturb": ("gain-error deviation bounds", (_ETA,), lambda cfg, args: (
         analysis.perturbation_bounds(cfg.theta0, args.eta).to_dict(), 0)),
     "classify": ("classify the config headings as a critical point", (), lambda cfg, args: (
         analysis.classify_critical_point(cfg.theta0).to_dict(), 0)),
-    "scenario": ("run a built-in scenario", (), _scenario),
+    "scenario": ("run a built-in scenario", _RUN[:3], _scenario),
 }
 
 
@@ -125,12 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
     leaves no state in it. Not built at import, which would lengthen every
     import of the package."""
     parser = _Parser(prog="swarmsync", description=__doc__.rpartition("\n\n")[0])
+    parser.set_defaults(dt=None, t_max=None, seed=None)  # main reads all three overrides
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, extras, _) in _COMMANDS.items():
         first = (_opt("name", choices=sorted(SCENARIOS)) if name == "scenario" else
                  _opt("--config", required=True, help="path to a JSON config"))
         p = sub.add_parser(name, help=help_)
-        for flags, kw in (first, *_COMMON, *extras):
+        for flags, kw in (first, *extras):
             p.add_argument(*flags, **kw)
     return parser
 
@@ -141,8 +137,12 @@ def main(argv=None) -> int:
         cfg = None if args.command == "scenario" else with_overrides(
             load_config(args.config), args.dt, args.t_max, args.seed)
         doc, code = _COMMANDS[args.command][2](cfg, args)
-        _emit(doc)
-        return code
+        text = json_text(doc)
+    except (ConfigError, ValueError, DivergenceError, OSError) as exc:
+        text, code = json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}), 1
+    try:
+        # flushed here, so a closed stdout raises inside main, not at exit
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader closed stdout, so no error JSON can reach it; stdout goes
         # to devnull, or the flush at interpreter exit would raise again
@@ -150,9 +150,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ConfigError, ValueError, DivergenceError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -175,8 +175,8 @@ def load_config(path) -> SimulationConfig:
 
 def with_overrides(cfg: SimulationConfig, dt: float | None, t_max: float | None,
                    seed: int | None) -> SimulationConfig:
-    """cfg with each of the --dt/--t-max/--seed overrides that is set; the
-    replaced config is validated again."""
+    """cfg with each dt/t_max/seed override that is set, the run options of
+    simulate and synthesize (scenario has no seed); a replaced config is validated again."""
     overrides = {
         name: value
         for name, value in (("dt", dt), ("t_max", t_max), ("seed", seed))

@@ -141,8 +141,9 @@ def _scenario_checks(name: str, configs: dict, runs: dict) -> tuple[dict, dict]:
 
 
 def run_scenario(name: str, out_dir, dt: float | None = None,
-                 t_max: float | None = None, seed: int | None = None) -> tuple[int, dict]:
-    """Execute a built-in scenario; returns (exit_code, summary).
+                 t_max: float | None = None) -> tuple[int, dict]:
+    """Execute a built-in scenario, its runs with the dt/t_max overrides that
+    are set (no bundled run draws, so no seed); returns (exit_code, summary).
 
     Exit code 0 when every run synchronized and every check passed, 2
     otherwise. Unknown names raise ValueError. Every run is integrated
@@ -151,7 +152,7 @@ def run_scenario(name: str, out_dir, dt: float | None = None,
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
-    configs = {run_name: with_overrides(cfg, dt, t_max, seed)
+    configs = {run_name: with_overrides(cfg, dt, t_max, None)
                for run_name, cfg in SCENARIOS[name]()}
     records = dict(zip(configs, simulate_batch(configs.values())))
     summary_runs = {run_name: _run_summary(configs[run_name], *record)

@@ -64,6 +64,12 @@ def run_fresh(args, stdout=subprocess.PIPE, **env):
     )
 
 
+def out_args(command, out_dir) -> list[str]:
+    """`--out out_dir` for a command that writes files (simulate and
+    synthesize); the commands that write nothing take no --out."""
+    return ["--out", str(out_dir)] if command in ("simulate", "synthesize") else []
+
+
 def strict_json(text):
     """json.loads that rejects the NaN/Infinity tokens json.dumps would
     write by default; they are not JSON."""
@@ -390,27 +396,78 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv,written", [
-        (["simulate"], ["trajectory.csv", "convergence.json"]),
-        (["synthesize", "--target-deg", "1", "--c", "-1e-3"], ["config_synthesized.json"]),
-    ], ids=["simulate", "synthesize"])
+        (["simulate", "--config", "CFG", "--out", "OUT"], ["trajectory.csv", "convergence.json"]),
+        (["synthesize", "--target-deg", "1", "--c", "-1e-3", "--config", "CFG", "--out", "OUT"],
+         ["config_synthesized.json"]),
+        (["simulate", "--config", "MISSING", "--out", "OUT"], []),
+        (["predict", "--config", "PAIR"], []),
+        (["classify", "--config", "CFG", "--seed", "-1"], []),
+    ], ids=["simulate", "synthesize", "missing-config", "mixed-gains", "rejected-option"])
     def test_closed_stdout_exits_one_quietly(self, tmp_path, argv, written, unbuffered):
         """A reader that has closed stdout before the JSON is printed (`| head`
         that has exited): exit 1 with nothing on stderr, where a second
         attempt to print the error JSON once raised out of main, and a
         buffered stdout fails again at exit. The files the command wrote
-        stay."""
-        cfg = write_config(tmp_path, {**BASE_DOC, "t_max": 2.0})
+        stay. The error JSON of a missing config, of predict on mixed-sign
+        gains and of a rejected option meets the same closed stdout: each
+        once printed a BrokenPipeError traceback on stderr."""
+        paths = {"CFG": write_config(tmp_path, {**BASE_DOC, "t_max": 2.0}),
+                 "PAIR": write_config(tmp_path, {**BASE_DOC, "gains": [-3.0, 1.0]}, "pair.json"),
+                 "MISSING": tmp_path / "missing.json", "OUT": tmp_path / "out"}
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = run_fresh(["-m", "swarmsync.cli", *argv, "--config", str(cfg),
-                              "--out", str(tmp_path / "out")], stdout=write,
-                             PYTHONUNBUFFERED=unbuffered)
+            proc = run_fresh(["-m", "swarmsync.cli", *(str(paths.get(a, a)) for a in argv)],
+                             stdout=write, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / "out").exists() == bool(written)
         for name in written:
             assert (tmp_path / "out" / name).is_file(), name
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--config", "CFG", *extra, option, value]
+          for command, extra in (("predict", []), ("reachable", ["--target-deg", "10"]),
+                                 ("perturb", ["--eta", "0.3"]), ("classify", []))
+          for option, value in (("--out", "OUT"), ("--dt", "0.01"), ("--t-max", "1"),
+                                ("--seed", "1"))),
+        ["scenario", "sim2", "--out", "OUT", "--seed", "1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_options_are_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        """predict, reachable, perturb and classify read only the config's
+        headings and gains, and a scenario's runs draw nothing: the options
+        they once accepted and ignored (and still validated, so that
+        `predict --t-max 0.001` failed with "t_max must exceed dt") give the
+        UsageError JSON naming the option, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        cfg, out = write_config(tmp_path, BASE_DOC), tmp_path / "out"
+        argv = [{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert strict_json(captured.out)["error"] == {
+            "type": "UsageError", "message": f"swarmsync: unrecognized arguments: {argv[-2]} "
+                                             f"{argv[-1]}"}
+        assert captured.err == ""
+        assert not out.exists() and list(tmp_path.iterdir()) == [cfg]
+
+    def test_readme_quick_start_runs_as_documented(self, tmp_path, capsys, monkeypatch):
+        """README's quick start: each command line, run on its pair.json in
+        a fresh directory, exits with the code its comment states, and each
+        error message is the one the text quotes."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Quick start (CLI)\n", 1)[1].split("\n## ", 1)[0]
+        pair, lines = re.findall(r"^```(?:json)?\n(.*?)^```$", section, re.M | re.S)[:2]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pair.json").write_text(pair)
+        prose = " ".join(section.split())
+        commands = re.findall(r"^swarmsync (.*?) +# exit (\d)$", lines, re.M)
+        assert len(commands) == len(lines.splitlines()) == len(cli._COMMANDS)
+        for argv, code in commands:
+            assert main(argv.split()) == int(code), argv
+            doc = strict_json(capsys.readouterr().out)
+            if code == "1":
+                assert f'"{doc["error"]["message"]}"' in prose, argv
 
 
 class TestScenario:
@@ -436,11 +493,11 @@ class TestScenario:
     def test_files_equal_the_serial_loop(self, tmp_path, name):
         """The batched scenario writes the bytes of the serial loop it
         replaced: one simulate() and write_run() per run, then the summary."""
-        code, summary = run_scenario(name, tmp_path / "batched", t_max=3.0, seed=4)
+        code, summary = run_scenario(name, tmp_path / "batched", t_max=3.0)
         ref = tmp_path / "serial" / name
         configs, runs = {}, {}
         for run_name, cfg in SCENARIOS[name]():
-            cfg = configs[run_name] = with_overrides(cfg, None, 3.0, 4)
+            cfg = configs[run_name] = with_overrides(cfg, None, 3.0, None)
             traj, report = simulate(cfg)
             write_run(ref / run_name, traj, report)
             runs[run_name] = scenarios._run_summary(cfg, traj, report)
@@ -462,11 +519,11 @@ class TestScenario:
         """A bundled run is a config a user could write: its document, run by
         `simulate --config` with the same overrides, writes the bytes the
         scenario writes for that run."""
-        run_scenario(name, tmp_path / "scenario", t_max=3.0, seed=4)
+        run_scenario(name, tmp_path / "scenario", t_max=3.0)
         for run_name, doc in scenarios._RUNS[name].items():
             out = tmp_path / "simulate" / run_name
             argv = ["simulate", "--config", str(write_config(tmp_path, doc, f"{run_name}.json")),
-                    "--out", str(out), "--t-max", "3", "--seed", "4"]
+                    "--out", str(out), "--t-max", "3"]
             assert main(argv) in (0, 2)
             for file in ("trajectory.csv", "convergence.json"):
                 expected = tmp_path / "scenario" / name / run_name / file
@@ -907,7 +964,7 @@ class TestClosedFormCommands:
             ["simulate", "--config", cfg, "--out", out],
             ["synthesize", "--config", cfg, "--target-deg", "-10", "--out", out],
             ["reachable", "--config", cfg, "--target-deg", "nan"],
-            ["predict", "--config", cfg, "--t-max", "0.5"],
+            ["predict", "--config", cfg, "--t-max", "0.5"],  # a UsageError
         ]
         in_process = []
         for argv in calls:
@@ -916,7 +973,7 @@ class TestClosedFormCommands:
         for argv, (code, stdout) in zip(calls, in_process):
             fresh = run_fresh(["-m", "swarmsync.cli", *argv])
             assert (fresh.returncode, fresh.stdout) == (code, stdout), argv
-        assert [code for code, _ in in_process] == [2, 0, 0, 0, 2, 0, 1, 0]
+        assert [code for code, _ in in_process] == [2, 0, 0, 0, 2, 0, 1, 1]
         assert strict_json(in_process[2][1])["gains"] != strict_json(in_process[5][1])["gains"]
 
     def test_parser_built_once_and_not_at_import(self):
@@ -936,7 +993,7 @@ class TestClosedFormCommands:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([command, "--config", str(cfg), f"--target-deg={target}",
-                         "--out", str(out_dir)])
+                         *out_args(command, out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         err = strict_json(captured.out)["error"]
@@ -953,7 +1010,7 @@ class TestClosedFormCommands:
                                       "gains": "set1"})
         out_dir = tmp_path / "out"
         code = main([command, "--config", str(cfg), f"--target-deg={target}",
-                     "--out", str(out_dir)])
+                     *out_args(command, out_dir)])
         assert code == 1
         err = strict_json(capsys.readouterr().out)["error"]
         assert err["type"] == "ValueError"
@@ -968,7 +1025,7 @@ class TestClosedFormCommands:
         docs = []
         for target in ("-710", "10", "730"):
             assert main([command, "--config", str(cfg), f"--target-deg={target}",
-                         "--out", str(tmp_path / target)]) == 0
+                         *out_args(command, tmp_path / target)]) == 0
             doc = strict_json(capsys.readouterr().out)
             docs.append(doc["gains"] if command == "synthesize"
                         else [doc["target"], doc["reachable_negative_gains"]])
@@ -1007,7 +1064,7 @@ class TestClosedFormCommands:
                                       "gains": gains, "t_max": 1.0})
         out_dir = tmp_path / "out"
         proc = run_fresh(["-m", "swarmsync.cli", argv[0], "--config", str(cfg), *argv[1:],
-                          "--out", str(out_dir)])
+                          *out_args(argv[0], out_dir)])
         assert (proc.returncode, proc.stderr) == (1, "")
         assert names in strict_json(proc.stdout)["error"]["message"]
         assert not out_dir.exists()
@@ -1215,7 +1272,7 @@ class TestCliFuzz:
         cfg = str(write_config(tmp_path, fuzz_doc(0)))
         for label, value in self.ARG_MENU.items():
             out = tmp_path / label
-            code = main([argv[0], "--config", cfg, "--out", str(out), *argv[1:], value])
+            code = main([argv[0], "--config", cfg, *out_args(argv[0], out), *argv[1:], value])
             captured = capsys.readouterr()
             stdout = strict_json(captured.out)
             assert captured.err == "", label

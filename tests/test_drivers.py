@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +88,9 @@ class TestScenarioTable:
 _HELP = (["-h", "--help"], "help", None, argparse.SUPPRESS, False, None,
          "show this help message and exit")
 _CONFIG = (["--config"], "config", None, None, True, None, "path to a JSON config")
-_COMMON = [
+# the options of the commands that write a run: the output directory and
+# the config overrides (scenario takes all but --seed)
+_RUN = [
     (["--out"], "out", None, None, False, None, "output directory"),
     (["--dt"], "dt", float, None, False, None, "override step size (s)"),
     (["--t-max"], "t_max", float, None, False, None, "override horizon (s)"),
@@ -95,21 +98,21 @@ _COMMON = [
 ]
 _TARGET = (["--target-deg"], "target_deg", float, None, True, None, None)
 CLI_SURFACE = {
-    "simulate": ("integrate the closed loop, write CSV + JSON", [_HELP, _CONFIG, *_COMMON]),
-    "predict": ("closed-form synchronized direction", [_HELP, _CONFIG, *_COMMON]),
-    "reachable": ("test whether a direction is reachable", [_HELP, _CONFIG, *_COMMON, _TARGET]),
+    "simulate": ("integrate the closed loop, write CSV + JSON", [_HELP, _CONFIG, *_RUN]),
+    "predict": ("closed-form synchronized direction", [_HELP, _CONFIG]),
+    "reachable": ("test whether a direction is reachable", [_HELP, _CONFIG, _TARGET]),
     "synthesize": ("construct gains for a target direction", [
-        _HELP, _CONFIG, *_COMMON, _TARGET,
+        _HELP, _CONFIG, *_RUN, _TARGET,
         (["--c"], "c", float, -1.0, False, None, "negative scale constant")]),
     "perturb": ("gain-error deviation bounds", [
-        _HELP, _CONFIG, *_COMMON,
+        _HELP, _CONFIG,
         (["--eta"], "eta", float, None, True, None, "max fractional gain error in [0, 1)")]),
-    "classify": ("classify the config headings as a critical point", [_HELP, _CONFIG, *_COMMON]),
+    "classify": ("classify the config headings as a critical point", [_HELP, _CONFIG]),
     "scenario": ("run a built-in scenario", [
         _HELP,
         ([], "name", None, None, True,
          ["fig6", "sim1", "sim1-omega", "sim2", "sim3-caps", "sim3-sat"], None),
-        *_COMMON]),
+        *_RUN[:3]]),
 }
 
 
@@ -120,6 +123,11 @@ def subcommands():
 
 
 class TestCliSurface:
+    """Each subcommand takes only the options it reads: --out and the run
+    overrides on the commands that write a run (simulate, synthesize, scenario
+    without --seed), and on predict, reachable, perturb and classify only
+    --config and their own options."""
+
     def test_subcommands_and_help_in_order(self):
         sub = subcommands()
         assert list(sub.choices) == list(CLI_SURFACE)
@@ -131,6 +139,18 @@ class TestCliSurface:
         actions = [(a.option_strings, a.dest, a.type, a.default, a.required, a.choices, a.help)
                    for a in subcommands().choices[name]._actions]
         assert actions == CLI_SURFACE[name][1]
+
+    def test_readme_lists_each_commands_options(self):
+        """README's quick start gives each command's options in the parser's
+        order, in brackets where the option is optional."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("takes these options and no others:\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = dict(re.findall(r"^- `(\S+) (.*)`$", block, re.M))
+        assert list(listed) == list(CLI_SURFACE)
+        for name, parser in subcommands().choices.items():
+            options = [("" if a.required else "[", a.option_strings[0])
+                       for a in parser._actions if a.option_strings and a.dest != "help"]
+            assert re.findall(r"(\[?)(--[\w-]+)", listed[name]) == options, name
 
 
 @pytest.fixture(scope="module")
