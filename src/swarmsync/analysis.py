@@ -139,22 +139,18 @@ def is_reachable(theta0, target: float) -> ReachabilityReport:
 
     The open interval between the extreme rays is reachable; the rays
     themselves are not. For two agents the report also notes the extended
-    regime (mixed-sign gains with negative sum), true exactly where
-    two_agent_gains returns gains: not at either end of a nonzero arc. A
-    non-finite target, or one beyond TARGET_BOUND rad, raises ValueError.
+    regime (mixed-sign gains with negative sum), decided by calling
+    two_agent_gains: true exactly where it returns gains, so not at either
+    end of a nonzero arc. A non-finite target, or one beyond TARGET_BOUND
+    rad, raises ValueError.
     """
     _finite_target(target)
-    return _reachability(_require_acute(rotated_frame(theta0)), target)
-
-
-def _reachability(frame: RotatedFrame, target: float) -> ReachabilityReport:
-    """is_reachable on a frame already computed and checked acute."""
+    frame = _require_acute(rotated_frame(theta0))
     t_hat = float(np.mod(target - frame.theta_R, TWO_PI))
-    reachable = bool(0.0 < t_hat < frame.span)
     extended: bool | None = None
     if frame.theta_hat0.size == 2:
         try:
-            _two_agent_gains(frame, target)
+            two_agent_gains(theta0, target)
         except ValueError:
             extended = False
         else:
@@ -166,7 +162,7 @@ def _reachability(frame: RotatedFrame, target: float) -> ReachabilityReport:
             float(wrap_angle(frame.theta_R)),
             float(wrap_angle(frame.theta_R + frame.span)),
         ),
-        reachable_negative_gains=reachable,
+        reachable_negative_gains=bool(0.0 < t_hat < frame.span),
         reachable_two_agent_extended=extended,
         theta_R=frame.theta_R,
         span=frame.span,
@@ -194,14 +190,14 @@ def _synthesis(theta0, target: float, c: float) -> tuple[GainVector, RotatedFram
         raise ValueError("c must be negative")
     _finite_target(target)
     frame = _require_acute(rotated_frame(theta0))
-    if not _reachability(frame, target).reachable_negative_gains:
+    t_hat = float(np.mod(target - frame.theta_R, TWO_PI))
+    if not 0.0 < t_hat < frame.span:
         raise ValueError(
             f"target {np.degrees(wrap_angle(target)):.4f} deg is not reachable "
             "with all-negative gains (must be strictly inside the initial arc)"
         )
     hat = frame.theta_hat0
     n = hat.size
-    t_hat = float(np.mod(target - frame.theta_R, TWO_PI))
     mean = float(hat.mean())
 
     alpha = np.full(n, 1.0 / n)
@@ -314,11 +310,7 @@ def two_agent_gains(theta0, target: float) -> GainVector:
     if th.size != 2:
         raise ValueError("two_agent_gains needs exactly 2 headings")
     _finite_target(target)
-    return _two_agent_gains(_require_acute(rotated_frame(th)), target)
-
-
-def _two_agent_gains(frame: RotatedFrame, target: float) -> GainVector:
-    """two_agent_gains on a frame already computed and checked acute."""
+    frame = _require_acute(rotated_frame(th))
     span = frame.span
     t_hat = float(wrap_angle(target - frame.theta_R))
     lo_i = int(np.argmin(frame.theta_hat0))

@@ -51,7 +51,7 @@ def _simulate(cfg, args) -> tuple[dict, int]:
 
 
 def _synthesize(cfg, args) -> tuple[dict, int]:
-    # one rotated frame serves both the synthesis and the prediction
+    # one rotated frame for synthesis and prediction; two were slower at n = 3000 (CHANGES.md)
     gains, frame = analysis._synthesis(cfg.theta0, np.deg2rad(args.target_deg), args.c)
     doc = {"gains": gains.gains.tolist(), **_direction(analysis._prediction(frame, gains))}
     cfg_path = write_synthesized(_out_dir(args.out),

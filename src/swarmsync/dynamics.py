@@ -241,7 +241,7 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
 
     Runs of more than SYNC_PREFIX agents first test the spread of agents
     0..SYNC_PREFIX-1 alone. Their wrapped differences from agent 0 are the
-    same floats as the first entries of the full d below, so their max is
+    same floats as the first entries of the full test's d, so their max is
     at most the full max and their min at least the full min, and rounded
     subtraction is monotone: the prefix spread is never above the full one
     (a nan among the agents leaves the full spread nan, never below). A
@@ -249,16 +249,12 @@ def _sync_block(theta: np.ndarray, t: np.ndarray, below_since: np.ndarray,
     closes every window, as the full test would, without wrapping all n
     headings; any other block takes the full test.
     """
-    if theta.shape[-1] > SYNC_PREFIX:
-        d = wrap_angle(theta[..., :SYNC_PREFIX] - theta[..., :1])
-        if not (d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL).any():
+    for head in (theta[..., :SYNC_PREFIX], theta) if theta.shape[-1] > SYNC_PREFIX else (theta,):
+        d = wrap_angle(head - head[..., :1])
+        below = d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL
+        if not below.any():  # every window closes: the common case before sync
             below_since[:] = np.nan
             return
-    d = wrap_angle(theta - theta[..., :1])
-    below = d.max(axis=-1) - d.min(axis=-1) < SYNC_TOL
-    if not below.any():  # every window closes: the common case before sync
-        below_since[:] = np.nan
-        return
     steps = np.arange(t.size)[:, None]
     last_above = np.maximum.accumulate(np.where(below, -1, steps), axis=0)
     carried = np.where(np.isnan(below_since), t[0], below_since)

@@ -32,6 +32,7 @@ from swarmsync import (
     two_agent_gains,
     wrap_angle,
 )
+from swarmsync import analysis
 from swarmsync.analysis import _hessian_entries, _saddle_witness
 from swarmsync.phase import alignment_potential_grad, order_parameter
 
@@ -338,6 +339,20 @@ class TestIsReachable:
         with pytest.raises(NonAcuteConeError):
             is_reachable([-np.pi / 2, np.pi / 2], 0.0)
 
+    def test_two_agent_flag_is_what_two_agent_gains_answers(self, monkeypatch):
+        """For a pair the extended flag comes from calling two_agent_gains: a
+        refusal there reads False, also for a target inside the arc."""
+        theta0, target = np.deg2rad([-60.0, 60.0]), np.deg2rad(10.0)
+        assert is_reachable(theta0, target).reachable_two_agent_extended is True
+
+        def refuse(theta0, target):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(analysis, "two_agent_gains", refuse)
+        report = is_reachable(theta0, target)
+        assert report.reachable_negative_gains
+        assert report.reachable_two_agent_extended is False
+
 
 class TestSynthesizeGains:
     def test_mean_target_with_uniform_scale_gives_unit_gains(self, six_theta0):
@@ -382,6 +397,19 @@ class TestSynthesizeGains:
     def test_rejects_nonnegative_c(self, six_theta0):
         with pytest.raises(ValueError):
             synthesize_gains(six_theta0, 0.0, c=1.0)
+
+    @pytest.mark.parametrize("theta0_deg", [[-60.0, 60.0], [-60.0, -45.0, -30.0, 30.0, 45.0, 60.0]])
+    def test_builds_no_reachability_report(self, monkeypatch, theta0_deg):
+        """Synthesis tests the arc interior on its own rotated target; only
+        is_reachable builds a report."""
+        built = []
+        report = analysis.ReachabilityReport
+        monkeypatch.setattr(analysis, "ReachabilityReport",
+                            lambda *args, **kw: built.append(kw) or report(*args, **kw))
+        theta0, target = np.deg2rad(theta0_deg), np.deg2rad(10.0)
+        assert synthesize_gains(theta0, target).all_negative
+        assert built == []
+        assert is_reachable(theta0, target).reachable_negative_gains and len(built) == 1
 
     def test_pinned_bits(self):
         """The gains of synthesis_cases() bit for bit. The exact targets pin

@@ -2,10 +2,14 @@
 is the one module that writes a file or formats the package's JSON and CSV,
 swarmsync.phase the one that evaluates the coupling kernel, GainVector.weights
 the one statement of the 1/K weights and simulate_batch and step the only
-callers of dynamics._law, and dynamics._clip the one statement of the
-actuation rule, so a writer, a second kernel, a second scaling of 1/K, a
-second derivation of a law or a second clip added anywhere else fails here.
-The integrator carries no -0.0 emulation: a run's headings are never -0.0."""
+callers of dynamics._law, dynamics._clip the one statement of the
+actuation rule, and analysis.is_reachable the one reader of the
+reachable-set rule (it alone builds a ReachabilityReport and asks
+two_agent_gains for the pair flag, and only _require_acute and _prediction
+take a rotated frame), so a writer, a second kernel, a second scaling of
+1/K, a second derivation of a law, a second clip or a frame-taking twin
+added anywhere else fails here. The integrator carries no -0.0 emulation: a
+run's headings are never -0.0."""
 
 import ast
 from pathlib import Path
@@ -105,6 +109,16 @@ def callers(sources: dict[str, str], name: str) -> set[tuple[str, str]]:
 # two-agent direction, which scales by the power of two at max|K|
 FREXP_CALLERS = {("control.py", "GainVector.weights"), ("analysis.py", "two_agent_direction")}
 LAW_CALLERS = {("dynamics.py", "simulate_batch"), ("dynamics.py", "step")}
+# the analysis.py functions handed a rotated frame already computed: the
+# acuteness check, and the prediction that lets CLI synthesize compute one frame
+FRAME_TAKERS = {"_require_acute", "_prediction"}
+
+
+def frame_takers(sources: dict[str, str]) -> set[str]:
+    """Each analysis.py function with a parameter named frame."""
+    return {node.name for node in ast.walk(ast.parse(sources["analysis.py"]))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(arg, ast.arg) and arg.arg == "frame" for arg in ast.walk(node.args))}
 
 
 def clippers(sources: dict[str, str]) -> set[tuple[str, str]]:
@@ -195,6 +209,23 @@ class TestLawBoundary:
                                    "        return _law(cfg)\n")
         assert callers(sources, "frexp") - FREXP_CALLERS == {("analysis.py", "_prediction2")}
         assert callers(sources, "_law") - LAW_CALLERS == {("dynamics.py", "_Run.law")}
+
+
+class TestReachabilityBoundary:
+    def test_the_reachable_set_rule_is_read_in_one_place(self):
+        sources = package_sources()
+        assert frame_takers(sources) == FRAME_TAKERS
+        assert callers(sources, "ReachabilityReport") == {("analysis.py", "is_reachable")}
+        assert ("analysis.py", "is_reachable") in callers(sources, "two_agent_gains")
+
+    def test_planted_twins_fail(self):
+        sources = package_sources()
+        sources["analysis.py"] += ("\n\ndef _reachability(frame, target):\n"
+                                   "    return ReachabilityReport(target, frame)\n\n\n"
+                                   "def _two_agent_gains(*, frame):\n    return frame\n")
+        assert frame_takers(sources) - FRAME_TAKERS == {"_reachability", "_two_agent_gains"}
+        assert callers(sources, "ReachabilityReport") == {("analysis.py", "is_reachable"),
+                                                          ("analysis.py", "_reachability")}
 
 
 class TestActuationBoundary:
